@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import as_f64, dropout_mask, sigmoid, tanh_act
+from .tensor_ops import NamedParams, as_f64, dropout_mask, sigmoid, tanh_act
 
 __all__ = [
     "GateActivations",
@@ -63,12 +63,16 @@ class GateActivations:
     g: np.ndarray
 
 
-class LstmCellParams:
+class LstmCellParams(NamedParams):
     """Weights of one LSTM layer, stacked by gate.
 
     Attributes W_xi, W_hi, b_i, ... are read/write views into the stacked
-    arrays, one (N, d) or (N, N) matrix and one (N,) bias per gate.
+    arrays, one (N, d) or (N, N) matrix and one (N,) bias per gate. The
+    stacked arrays are the layout (``PARAMS``); the per-gate views are the
+    named blocks.
     """
+
+    PARAMS = ("w_x", "w_h", "b")
 
     def __init__(self, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray):
         w_x = as_f64(w_x)
@@ -113,10 +117,6 @@ class LstmCellParams:
     def new_zeros(self) -> "LstmCellParams":
         return LstmCellParams.zeros(self.n_hidden, self.n_input)
 
-    def raw(self):
-        """Backing arrays, for fused parameter updates."""
-        return [self.w_x, self.w_h, self.b]
-
     def blocks(self):
         """Named per-gate parameter views, in gate-equation order."""
         n = self.n_hidden
@@ -147,8 +147,10 @@ class LstmCellParams:
     b_c = property(lambda self: self.b[self._gate(3)])
 
 
-class RnnCellParams:
+class RnnCellParams(NamedParams):
     """Weights of one vanilla RNN layer."""
+
+    PARAMS = ("W_xh", "W_hh", "b_h")
 
     def __init__(self, W_xh: np.ndarray, W_hh: np.ndarray, b_h: np.ndarray, nonlinearity: str = "tanh"):
         W_xh = as_f64(W_xh)
@@ -188,12 +190,6 @@ class RnnCellParams:
 
     def new_zeros(self) -> "RnnCellParams":
         return RnnCellParams.zeros(self.n_hidden, self.n_input, self.nonlinearity)
-
-    def raw(self):
-        return [self.W_xh, self.W_hh, self.b_h]
-
-    def blocks(self):
-        return [("W_xh", self.W_xh), ("W_hh", self.W_hh), ("b_h", self.b_h)]
 
 
 @dataclass(slots=True)

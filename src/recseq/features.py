@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_ops import as_f64
+from .tensor_ops import NamedParams, as_f64
 
 __all__ = [
     "IdentityExtractor",
@@ -39,7 +39,7 @@ def _uniform_fan_in(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-class IdentityExtractor:
+class IdentityExtractor(NamedParams):
     """Flattens the input; output dim equals the input size."""
 
     variant = "identity"
@@ -57,17 +57,12 @@ class IdentityExtractor:
     def backward(self, cache, d_out):
         return d_out.reshape(self.input_shape), {}
 
-    def blocks(self):
-        return []
 
-    def raw(self):
-        return []
-
-
-class LinearExtractor:
+class LinearExtractor(NamedParams):
     """y = W x + b over the flattened input."""
 
     variant = "linear"
+    PARAMS = ("W", "b")
 
     def __init__(self, input_shape, W, b):
         self.input_shape = tuple(int(s) for s in input_shape)
@@ -95,17 +90,12 @@ class LinearExtractor:
         grads = {"W": np.outer(d_out, flat), "b": d_out.copy()}
         return (self.W.T @ d_out).reshape(self.input_shape), grads
 
-    def blocks(self):
-        return [("W", self.W), ("b", self.b)]
 
-    def raw(self):
-        return [self.W, self.b]
-
-
-class Mlp1Extractor:
+class Mlp1Extractor(NamedParams):
     """y = W2 tanh(W1 x + b1) + b2 over the flattened input."""
 
     variant = "mlp1"
+    PARAMS = ("W1", "b1", "W2", "b2")
 
     def __init__(self, input_shape, W1, b1, W2, b2):
         self.input_shape = tuple(int(s) for s in input_shape)
@@ -148,12 +138,6 @@ class Mlp1Extractor:
             "b2": d_out.copy(),
         }
         return (self.W1.T @ d_hidden).reshape(self.input_shape), grads
-
-    def blocks(self):
-        return [("W1", self.W1), ("b1", self.b1), ("W2", self.W2), ("b2", self.b2)]
-
-    def raw(self):
-        return [self.W1, self.b1, self.W2, self.b2]
 
 
 def conv2d_valid(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -228,7 +212,7 @@ def maxpool2x2_backward(x_shape, argmax_flat, d_pooled):
     return dx.reshape(x_shape)
 
 
-class SmallConvExtractor:
+class SmallConvExtractor(NamedParams):
     """Convolution, 2x2 max pool, then an affine head.
 
     Input shape must be (C, H, W). The max pool is the only nonlinearity;
@@ -237,6 +221,7 @@ class SmallConvExtractor:
     """
 
     variant = "smallconv"
+    PARAMS = ("kernels", "conv_bias", "W", "b")
 
     def __init__(self, input_shape, kernels, conv_bias, W, b):
         if len(input_shape) != 3:
@@ -297,17 +282,6 @@ class SmallConvExtractor:
             "b": d_out.copy(),
         }
         return dx, grads
-
-    def blocks(self):
-        return [
-            ("kernels", self.kernels),
-            ("conv_bias", self.conv_bias),
-            ("W", self.W),
-            ("b", self.b),
-        ]
-
-    def raw(self):
-        return [self.kernels, self.conv_bias, self.W, self.b]
 
 
 def make_extractor(variant, input_shape, out_dim=None, rng=None, **kwargs):

@@ -26,17 +26,23 @@ Layer-1 inputs that combine a token embedding with a visual vector always
 use the order [embedded token, visual vector].
 
 Training-time losses are teacher forced: the gold previous token is fed at
-every step regardless of what the model would have predicted.
+every step regardless of what the model would have predicted. Every task
+compiles an example into one plan (layer-1 inputs, injected vector, first
+emitting step, targets, input-gradient scatter) that a single loss body
+runs. A model's parameters are one float64 vector; the named blocks are
+views of it.
 """
 
 from __future__ import annotations
 
+import copy
+from dataclasses import dataclass
+
 import numpy as np
 
-from . import cells as cells_mod
 from .cells import LstmCellParams, RecurrentState, RnnCellParams, _unroll, _unroll_backward
 from .features import phi_backward, phi_forward
-from .tensor_ops import as_f64, log_softmax, softmax
+from .tensor_ops import NamedParams, as_f64, log_softmax, softmax
 
 __all__ = [
     "BOS_TOKEN",
@@ -87,6 +93,7 @@ class Vocabulary:
         if unk is not None and not 0 <= unk < len(tokens):
             raise ValueError(f"unk index {unk} out of range")
         self.tokens = tokens
+        self._ids = {t: i for i, t in enumerate(tokens)}
         self.bos = int(bos)
         self.eos = int(eos)
         self.unk = None if unk is None else int(unk)
@@ -107,8 +114,8 @@ class Vocabulary:
 
     def index(self, word: str) -> int:
         try:
-            return self.tokens.index(word)
-        except ValueError:
+            return self._ids[word]
+        except KeyError:
             if self.unk is not None:
                 return self.unk
             raise ValueError(f"token {word!r} not in vocabulary and no UNK is defined") from None
@@ -132,8 +139,10 @@ class Vocabulary:
         return cls(d["tokens"], d["bos"], d["eos"], d.get("unk"))
 
 
-class EmbeddingParams:
+class EmbeddingParams(NamedParams):
     """Token embedding W_e with one column per vocabulary entry."""
+
+    PARAMS = ("W_e",)
 
     def __init__(self, W_e: np.ndarray):
         self.W_e = as_f64(W_e)
@@ -146,18 +155,11 @@ class EmbeddingParams:
         bound = 1.0 / np.sqrt(float(vocab_size))
         return cls(rng.uniform(-bound, bound, size=(dim, vocab_size)))
 
-    def new_zeros(self) -> "EmbeddingParams":
-        return EmbeddingParams(np.zeros_like(self.W_e))
 
-    def raw(self):
-        return [self.W_e]
-
-    def blocks(self):
-        return [("W_e", self.W_e)]
-
-
-class PredictionParams:
+class PredictionParams(NamedParams):
     """Affine output layer producing one logit per class or token."""
+
+    PARAMS = ("W_z", "b_z")
 
     def __init__(self, W_z: np.ndarray, b_z: np.ndarray):
         self.W_z = as_f64(W_z)
@@ -171,15 +173,6 @@ class PredictionParams:
         bound = 1.0 / np.sqrt(float(in_dim))
         return cls(rng.uniform(-bound, bound, size=(n_out, in_dim)), np.zeros(n_out))
 
-    def new_zeros(self) -> "PredictionParams":
-        return PredictionParams(np.zeros_like(self.W_z), np.zeros_like(self.b_z))
-
-    def raw(self):
-        return [self.W_z, self.b_z]
-
-    def blocks(self):
-        return [("W_z", self.W_z), ("b_z", self.b_z)]
-
 
 def embed(e: EmbeddingParams, token: int) -> np.ndarray:
     """Embedding column for one token id (equals W_e times its one-hot)."""
@@ -188,8 +181,60 @@ def embed(e: EmbeddingParams, token: int) -> np.ndarray:
     return e.W_e[:, token].copy()
 
 
-class ModelSpec:
-    """A complete model: topology description plus all parameters."""
+class _ParamLayout:
+    """Model components whose parameter arrays are views of one vector.
+
+    ``params`` holds the extractor, each cell, the embedding and the
+    prediction layer in that order, each component's arrays in its
+    ``PARAMS`` order.
+    """
+
+    def _bind(self, extractor, cells, embedding, prediction, params=None):
+        """Rebind shallow copies of the components to views of ``params``.
+
+        ``params=None`` builds the vector from the components' values. The
+        components passed in stay untouched, so components shared with
+        another model keep that model's vector.
+        """
+        self.extractor, self.embedding, self.prediction = (
+            copy.copy(part) for part in (extractor, embedding, prediction)
+        )
+        self.cells = [copy.copy(cell) for cell in cells]
+        arrays = self._arrays()
+        if params is None:
+            params = np.concatenate([a.ravel() for _, _, a in arrays])
+        self.params = params
+        offset = 0
+        for part, name, a in arrays:
+            setattr(part, name, params[offset:offset + a.size].reshape(a.shape))
+            offset += a.size
+
+    def _arrays(self):
+        """(component, attribute, array) for every array of the vector, in order."""
+        parts = [self.extractor, *self.cells, self.embedding, self.prediction]
+        return [(part, name, getattr(part, name)) for part in parts if part is not None for name in part.PARAMS]
+
+    def blocks(self):
+        """All named parameter arrays, in a stable order."""
+        out = []
+        if self.extractor is not None:
+            out.extend((f"phi.{n}", a) for n, a in self.extractor.blocks())
+        for idx, cell in enumerate(self.cells):
+            out.extend((f"cell{idx}.{n}", a) for n, a in cell.blocks())
+        if self.embedding is not None:
+            out.extend((f"embed.{n}", a) for n, a in self.embedding.blocks())
+        out.extend((f"pred.{n}", a) for n, a in self.prediction.blocks())
+        return out
+
+
+class ModelSpec(_ParamLayout):
+    """A complete model: topology description plus all parameters.
+
+    The parameters live in one float64 vector, ``params``; the component
+    objects' arrays are views of it, so an update of ``params`` is an
+    update of every block. The components passed in are copied shallowly
+    and keep their own arrays.
+    """
 
     def __init__(
         self,
@@ -213,11 +258,8 @@ class ModelSpec:
         if len(kinds) != 1:
             raise ValueError("all layers must use the same cell type")
         self.task = task
-        self.cells = list(cells)
-        self.prediction = prediction
-        self.extractor = extractor
+        self._bind(extractor, cells, embedding, prediction)
         self.vocab = vocab
-        self.embedding = embedding
         self.factored = bool(factored)
         self.inject_layer = inject_layer
         self.input_dim = input_dim
@@ -277,82 +319,27 @@ class ModelSpec:
             return self.input_dim
         return None
 
-    def blocks(self):
-        """All named parameter arrays, in a stable order."""
-        out = []
-        if self.extractor is not None:
-            out.extend((f"phi.{n}", a) for n, a in self.extractor.blocks())
-        for idx, cell in enumerate(self.cells):
-            out.extend((f"cell{idx}.{n}", a) for n, a in cell.blocks())
-        if self.embedding is not None:
-            out.extend((f"embed.{n}", a) for n, a in self.embedding.blocks())
-        out.extend((f"pred.{n}", a) for n, a in self.prediction.blocks())
-        return out
-
-    def raw(self):
-        """Backing arrays, aligned with :meth:`ModelGrads.raw`."""
-        out = []
-        if self.extractor is not None:
-            out.extend(self.extractor.raw())
-        for cell in self.cells:
-            out.extend(cell.raw())
-        if self.embedding is not None:
-            out.extend(self.embedding.raw())
-        out.extend(self.prediction.raw())
-        return out
-
     def param_count(self) -> int:
-        return sum(a.size for _, a in self.blocks())
-
-    def _inject_args(self, visual):
-        """(inject vector, 0-based layer) for the unroll engine."""
-        if self.task == "caption" and self.factored:
-            return visual, self.inject_layer - 1
-        return None, None
+        return self.params.size
 
 
-class ModelGrads:
-    """Gradient arrays mirroring a model's parameters."""
+class ModelGrads(_ParamLayout):
+    """Gradients in the layout of a model's parameters, over a zero vector."""
 
     def __init__(self, m: ModelSpec):
-        self.extractor = [np.zeros_like(a) for a in m.extractor.raw()] if m.extractor is not None else []
-        self._ext_names = [n for n, _ in m.extractor.blocks()] if m.extractor is not None else []
-        self.cells = [c.new_zeros() for c in m.cells]
-        self.embedding = m.embedding.new_zeros() if m.embedding is not None else None
-        self.prediction = m.prediction.new_zeros()
-
-    def blocks(self):
-        out = []
-        out.extend((f"phi.{n}", a) for n, a in zip(self._ext_names, self.extractor))
-        for idx, cell in enumerate(self.cells):
-            out.extend((f"cell{idx}.{n}", a) for n, a in cell.blocks())
-        if self.embedding is not None:
-            out.extend((f"embed.{n}", a) for n, a in self.embedding.blocks())
-        out.extend((f"pred.{n}", a) for n, a in self.prediction.blocks())
-        return out
-
-    def raw(self):
-        out = list(self.extractor)
-        for cell in self.cells:
-            out.extend(cell.raw())
-        if self.embedding is not None:
-            out.extend(self.embedding.raw())
-        out.extend(self.prediction.raw())
-        return out
+        self._bind(m.extractor, m.cells, m.embedding, m.prediction, np.zeros_like(m.params))
 
     def add_extractor(self, grad_dict):
-        for idx, name in enumerate(self._ext_names):
-            self.extractor[idx] += grad_dict[name]
+        for name, a in self.extractor.blocks():
+            a += grad_dict[name]
 
     def global_norm(self) -> float:
+        # One sum per layout array, in vector order; a single dot over the
+        # vector would round differently and move clipped trajectories.
         total = 0.0
-        for a in self.raw():
+        for _, _, a in self._arrays():
             total += float(np.sum(a * a))
         return float(np.sqrt(total))
-
-    def scale(self, factor: float):
-        for a in self.raw():
-            a *= factor
 
 
 def build_model(
@@ -442,32 +429,66 @@ def _check_token(m: ModelSpec, token: int):
         raise ValueError(f"token id {token} out of range for vocabulary of {m.vocab.size}")
 
 
-def _check_visual(m: ModelSpec, v: np.ndarray, expect_dim: int) -> np.ndarray:
+def _check_visual(m: ModelSpec, v: np.ndarray) -> np.ndarray:
+    """The static visual vector, shape checked; per-step probability blocks
+    must each be normalized."""
     v = as_f64(v)
-    if v.shape != (expect_dim,):
-        raise ValueError(f"visual vector has shape {v.shape}, model expects ({expect_dim},)")
+    if v.shape != (m.visual_dim,):
+        raise ValueError(f"visual vector has shape {v.shape}, model expects ({m.visual_dim},)")
+    if m.task == "perstep_decode" and m.visual_mode == "prob" and m.visual_blocks:
+        offset = 0
+        for idx, width in enumerate(m.visual_blocks):
+            total = float(np.sum(v[offset:offset + width]))
+            if abs(total - 1.0) > SIMPLEX_TOL:
+                raise ValueError(f"visual block {idx} sums to {total!r}, expected 1 within {SIMPLEX_TOL}")
+            offset += width
     return v
 
 
-def _check_simplex_blocks(m: ModelSpec, v: np.ndarray):
-    """CRF-style probability inputs must be block-wise normalized."""
-    if m.task != "perstep_decode" or m.visual_mode != "prob" or not m.visual_blocks:
-        return
-    offset = 0
-    for idx, width in enumerate(m.visual_blocks):
-        total = float(np.sum(v[offset:offset + width]))
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"visual block {idx} sums to {total!r}, expected 1 within {SIMPLEX_TOL}")
-        offset += width
+def _token_inputs(m: ModelSpec, visual: np.ndarray, prev_ids):
+    """Layer-1 inputs of caption and per-step wiring, one per previous token.
+
+    Returns (inputs, inject vector, 0-based inject layer). Each input is
+    [embedded token, visual vector]; a factored model feeds the embedding
+    alone and injects the visual vector at its inject layer instead.
+    """
+    if m.factored:
+        return [m.embedding.W_e[:, p] for p in prev_ids], visual, m.inject_layer - 1
+    return [np.concatenate([m.embedding.W_e[:, p], visual]) for p in prev_ids], None, None
+
+
+def _check_encoder_inputs(m: ModelSpec, inputs) -> np.ndarray:
+    inputs = as_f64(inputs)
+    if inputs.ndim != 2 or inputs.shape[0] < 1:
+        raise ValueError(f"encoder input must be a non-empty (T, d) array, got {inputs.shape}")
+    if inputs.shape[1] != m.input_dim:
+        raise ValueError(f"encoder input width {inputs.shape[1]}, model expects {m.input_dim}")
+    return inputs
+
+
+def _encoder_inputs(m: ModelSpec, inputs):
+    """Layer-1 inputs of the encoder steps of the shared recurrence.
+
+    Every step sees [token slot, input slot]. Encoder steps carry an input
+    vector and a zero token slot; all inputs but the last are consumed here.
+    """
+    zero_e = np.zeros(m.embedding.dim)
+    return [np.concatenate([zero_e, x]) for x in inputs[:-1]]
+
+
+def _decoder_input(m: ModelSpec, inputs, prev_token: int, j: int) -> np.ndarray:
+    """Layer-1 input of decoder step ``j``: the embedded previous token and a
+    zero input slot, except at the boundary step (j == 0), which still
+    carries the final input vector."""
+    x_slot = inputs[-1] if j == 0 else np.zeros(m.input_dim)
+    return np.concatenate([m.embedding.W_e[:, prev_token], x_slot])
 
 
 def _decode_step(m: ModelSpec, visual: np.ndarray, prev_token: int, state: RecurrentState):
     """Shared single step for caption and per-step decode wiring."""
     _check_token(m, prev_token)
-    e = m.embedding.W_e[:, prev_token]
-    inject, inject_layer = m._inject_args(visual)
-    u = e if inject is not None else np.concatenate([e, visual])
-    hs, new_state, _ = _unroll(m.cells, [u], initial=state, inject=inject, inject_layer=inject_layer)
+    us, inject, inject_layer = _token_inputs(m, visual, [prev_token])
+    hs, new_state, _ = _unroll(m.cells, us, initial=state, inject=inject, inject_layer=inject_layer)
     return _logits(m, hs[-1][0]), new_state
 
 
@@ -479,8 +500,7 @@ def caption_step(m: ModelSpec, img_feat: np.ndarray, prev_token: int, state: Rec
     """
     if m.task != "caption":
         raise ValueError(f"caption_step called on a {m.task} model")
-    v = _check_visual(m, img_feat, m.visual_dim)
-    logits, new_state = _decode_step(m, v, prev_token, state)
+    logits, new_state = _decode_step(m, _check_visual(m, img_feat), prev_token, state)
     return softmax(logits), new_state
 
 
@@ -488,9 +508,7 @@ def perstep_decode_step(m: ModelSpec, visual_vec: np.ndarray, prev_token: int, s
     """One decoding step driven by a precomputed per-class score vector."""
     if m.task != "perstep_decode":
         raise ValueError(f"perstep_decode_step called on a {m.task} model")
-    v = _check_visual(m, visual_vec, m.visual_dim)
-    _check_simplex_blocks(m, v)
-    logits, new_state = _decode_step(m, v, prev_token, state)
+    logits, new_state = _decode_step(m, _check_visual(m, visual_vec), prev_token, state)
     return softmax(logits), new_state
 
 
@@ -510,30 +528,14 @@ def _teacher_inputs(m: ModelSpec, tokens):
     return [m.vocab.bos] + tokens[:-1]
 
 
-def _token_visual_unroll(m: ModelSpec, visual: np.ndarray, tokens, drop=None):
-    """Teacher-forced unroll for caption / perstep wiring.
-
-    Returns (prev_ids, hs, caches, inject_layer_index).
-    """
-    prev = _teacher_inputs(m, tokens)
-    inject, inject_layer = m._inject_args(visual)
-    if inject is not None:
-        us = [m.embedding.W_e[:, p] for p in prev]
-    else:
-        us = [np.concatenate([m.embedding.W_e[:, p], visual]) for p in prev]
-    hs, _, caches = _unroll(m.cells, us, inject=inject, inject_layer=inject_layer, drop=drop)
-    return prev, hs, caches, inject_layer
-
-
 def caption_log_likelihood(m: ModelSpec, img_feat: np.ndarray, tokens) -> float:
     """Teacher-forced log likelihood of a caption (ending in EOS)."""
     if m.task not in ("caption", "perstep_decode"):
         raise ValueError(f"caption_log_likelihood called on a {m.task} model")
-    v = _check_visual(m, img_feat, m.visual_dim)
-    if m.task == "perstep_decode":
-        _check_simplex_blocks(m, v)
+    v = _check_visual(m, img_feat)
     tokens = _require_eos_terminated(m, tokens)
-    _, hs, _, _ = _token_visual_unroll(m, v, tokens)
+    us, inject, inject_layer = _token_inputs(m, v, _teacher_inputs(m, tokens))
+    hs, _, _ = _unroll(m.cells, us, inject=inject, inject_layer=inject_layer)
     total = 0.0
     for t, target in enumerate(tokens):
         total += float(log_softmax(_logits(m, hs[-1][t]))[target])
@@ -551,28 +553,6 @@ def classify_sequence(m: ModelSpec, frames) -> np.ndarray:
     hs, _, _ = _unroll(m.cells, feats)
     dists = [softmax(_logits(m, h)) for h in hs[-1]]
     return np.mean(dists, axis=0)
-
-
-def _encdec_inputs(m: ModelSpec, inputs, prev_ids):
-    """Layer-1 inputs for the shared encoder/decoder recurrence.
-
-    Every step sees [token slot, input slot]. Encoder steps carry an input
-    vector and a zero token slot; decoder steps carry an embedded previous
-    token and a zero input slot. The boundary step carries both the final
-    input vector and the embedded begin marker.
-    """
-    d_e = m.embedding.dim
-    d_in = m.input_dim
-    zero_e = np.zeros(d_e)
-    zero_x = np.zeros(d_in)
-    us = []
-    n_enc = len(inputs) - 1
-    for t in range(n_enc):
-        us.append(np.concatenate([zero_e, inputs[t]]))
-    for j, p in enumerate(prev_ids):
-        x_slot = inputs[-1] if j == 0 else zero_x
-        us.append(np.concatenate([m.embedding.W_e[:, p], x_slot]))
-    return us
 
 
 def encode_decode(m: ModelSpec, inputs, max_out_len: int):
@@ -608,18 +588,11 @@ def make_stepper(m: ModelSpec, features):
     tokens starting at zero; states are never mutated, so hypotheses may
     branch freely.
     """
-    if m.task == "caption":
-        v, _ = phi_forward(m.extractor, as_f64(features))
-
-        def step(state, prev_token, t):
-            logits, new_state = _decode_step(m, v, prev_token, state)
-            return log_softmax(logits), new_state
-
-        return initial_state(m), step
-
-    if m.task == "perstep_decode":
-        v = _check_visual(m, features, m.visual_dim)
-        _check_simplex_blocks(m, v)
+    if m.task in ("caption", "perstep_decode"):
+        if m.task == "caption":
+            v, _ = phi_forward(m.extractor, as_f64(features))
+        else:
+            v = _check_visual(m, features)
 
         def step(state, prev_token, t):
             logits, new_state = _decode_step(m, v, prev_token, state)
@@ -628,26 +601,16 @@ def make_stepper(m: ModelSpec, features):
         return initial_state(m), step
 
     if m.task == "encode_decode":
-        inputs = as_f64(features)
-        if inputs.ndim != 2 or inputs.shape[0] < 1:
-            raise ValueError(f"encoder input must be a non-empty (T, d) array, got {inputs.shape}")
-        if inputs.shape[1] != m.input_dim:
-            raise ValueError(f"encoder input width {inputs.shape[1]}, model expects {m.input_dim}")
-        d_e = m.embedding.dim
-        zero_e = np.zeros(d_e)
-        zero_x = np.zeros(m.input_dim)
-        enc_us = [np.concatenate([zero_e, inputs[t]]) for t in range(len(inputs) - 1)]
+        inputs = _check_encoder_inputs(m, features)
+        enc_us = _encoder_inputs(m, inputs)
         if enc_us:
             _, enc_state, _ = _unroll(m.cells, enc_us)
         else:
             enc_state = initial_state(m)
-        boundary_x = inputs[-1]
 
         def step(state, prev_token, t):
             _check_token(m, prev_token)
-            x_slot = boundary_x if t == 0 else zero_x
-            u = np.concatenate([m.embedding.W_e[:, prev_token], x_slot])
-            hs, new_state, _ = _unroll(m.cells, [u], initial=state)
+            hs, new_state, _ = _unroll(m.cells, [_decoder_input(m, inputs, prev_token, t)], initial=state)
             return log_softmax(_logits(m, hs[-1][0])), new_state
 
         return enc_state, step
@@ -686,6 +649,60 @@ def _prediction_backward(m: ModelSpec, tops, dlogits, n_steps, grads):
     return d_top
 
 
+@dataclass
+class _Plan:
+    """One example compiled into a single teacher-forced unroll.
+
+    Step t reads ``us[t]``, plus ``inject`` at layer ``inject_layer`` when
+    set; the steps from ``first`` on emit ``targets``. Backward, the leading
+    embedding slot of step ``first + j`` scatters into the embedding column
+    of ``prev[j]``, and each ``(cache, t)`` in ``phi`` is an extractor call
+    whose output was the whole input of step t or, for t None, the visual
+    vector: the injected one, else the trailing slot of every step.
+    """
+
+    us: list
+    inject: np.ndarray | None
+    inject_layer: int | None
+    first: int
+    targets: list
+    prev: list
+    phi: list
+
+
+def _plan(m: ModelSpec, example) -> _Plan:
+    x, y = example
+    if m.task == "classify":
+        frames = as_f64(x)
+        if len(frames) == 0:
+            raise ValueError("classification example has no frames")
+        if not 0 <= int(y) < m.prediction.n_out:
+            raise ValueError(f"label {y} out of range for {m.prediction.n_out} classes")
+        feats, phi = [], []
+        for t, fr in enumerate(frames):
+            v, cache = phi_forward(m.extractor, fr)
+            feats.append(v)
+            phi.append((cache, t))
+        return _Plan(feats, None, None, 0, [int(y)] * len(feats), [], phi)
+    if m.task == "encode_decode":
+        inputs = _check_encoder_inputs(m, x)
+        targets = _require_eos_terminated(m, y)
+        prev = _teacher_inputs(m, targets)
+        us = _encoder_inputs(m, inputs) + [_decoder_input(m, inputs, p, j) for j, p in enumerate(prev)]
+        return _Plan(us, None, None, len(inputs) - 1, targets, prev, [])
+    if m.task == "caption":
+        tokens = _require_eos_terminated(m, y)
+        v, cache = phi_forward(m.extractor, as_f64(x))
+        phi = [(cache, None)]
+    else:
+        v = _check_visual(m, x)
+        tokens = _require_eos_terminated(m, y)
+        phi = []
+    prev = _teacher_inputs(m, tokens)
+    us, inject, inject_layer = _token_inputs(m, v, prev)
+    return _Plan(us, inject, inject_layer, 0, tokens, prev, phi)
+
+
 def sequence_loss_and_grads(m: ModelSpec, example, grads: ModelGrads | None = None, scale: float = 1.0, drop=None):
     """Negative log likelihood of one example, optionally with gradients.
 
@@ -702,111 +719,31 @@ def sequence_loss_and_grads(m: ModelSpec, example, grads: ModelGrads | None = No
     Returns (nll, per-step nll list). The loss sums -log P over all
     predicted positions of the sequence.
     """
-    if m.task == "classify":
-        return _classify_loss(m, example, grads, scale, drop)
-    if m.task == "caption":
-        return _caption_loss(m, example, grads, scale, drop)
-    if m.task == "encode_decode":
-        return _encdec_loss(m, example, grads, scale, drop)
-    return _perstep_loss(m, example, grads, scale, drop)
-
-
-def _classify_loss(m, example, grads, scale, drop):
-    frames, label = example
-    frames = as_f64(frames)
-    if len(frames) == 0:
-        raise ValueError("classification example has no frames")
-    if not 0 <= int(label) < m.prediction.n_out:
-        raise ValueError(f"label {label} out of range for {m.prediction.n_out} classes")
-    label = int(label)
-    feats = []
-    fcaches = []
-    for fr in frames:
-        v, c = phi_forward(m.extractor, fr)
-        feats.append(v)
-        fcaches.append(c)
-    hs, _, caches = _unroll(m.cells, feats, drop=drop)
+    plan = _plan(m, example)
+    hs, _, caches = _unroll(m.cells, plan.us, inject=plan.inject, inject_layer=plan.inject_layer, drop=drop)
     tops = hs[-1]
     n_steps = len(tops)
-    total, per_step, dlogits = _emit_losses(m, tops, range(n_steps), [label] * n_steps, grads is not None, scale)
-    if grads is not None:
-        d_top = _prediction_backward(m, tops, dlogits, n_steps, grads)
-        d_xs, _, _, _ = _unroll_backward(m.cells, caches, d_top, grad_accs=grads.cells)
-        for t in range(n_steps):
-            _, ext_g = phi_backward(m.extractor, fcaches[t], d_xs[t])
-            grads.add_extractor(ext_g)
-    return total, per_step
-
-
-def _caption_loss(m, example, grads, scale, drop):
-    image, tokens = example
-    tokens = _require_eos_terminated(m, tokens)
-    v, vcache = phi_forward(m.extractor, as_f64(image))
-    prev, hs, caches, inject_layer = _token_visual_unroll(m, v, tokens, drop=drop)
-    tops = hs[-1]
-    n_steps = len(tops)
-    total, per_step, dlogits = _emit_losses(m, tops, range(n_steps), tokens, grads is not None, scale)
-    if grads is not None:
-        d_top = _prediction_backward(m, tops, dlogits, n_steps, grads)
-        d_us, d_inject, _, _ = _unroll_backward(
-            m.cells, caches, d_top,
-            inject_dim=0 if inject_layer is None else m.visual_dim,
-            inject_layer=inject_layer,
-            grad_accs=grads.cells,
-        )
-        d_e = m.embedding.dim
-        dv = np.zeros(m.visual_dim)
-        for t in range(n_steps):
-            if inject_layer is None:
-                grads.embedding.W_e[:, prev[t]] += d_us[t][:d_e]
-                dv += d_us[t][d_e:]
-            else:
-                grads.embedding.W_e[:, prev[t]] += d_us[t]
-        if inject_layer is not None:
+    total, per_step, dlogits = _emit_losses(m, tops, range(plan.first, n_steps), plan.targets, grads is not None, scale)
+    if grads is None:
+        return total, per_step
+    d_top = _prediction_backward(m, tops, dlogits, n_steps, grads)
+    d_us, d_inject, _, _ = _unroll_backward(
+        m.cells, caches, d_top,
+        inject_dim=0 if plan.inject is None else plan.inject.size,
+        inject_layer=plan.inject_layer,
+        grad_accs=grads.cells,
+    )
+    d_e = 0 if m.embedding is None else m.embedding.dim
+    for j, p in enumerate(plan.prev):
+        grads.embedding.W_e[:, p] += d_us[plan.first + j][:d_e]
+    for cache, t in plan.phi:
+        if t is not None:
+            dv = d_us[t]
+        elif d_inject is not None:
             dv = d_inject
-        _, ext_g = phi_backward(m.extractor, vcache, dv)
-        grads.add_extractor(ext_g)
-    return total, per_step
-
-
-def _encdec_loss(m, example, grads, scale, drop):
-    inputs, targets = example
-    inputs = as_f64(inputs)
-    if inputs.ndim != 2 or inputs.shape[0] < 1:
-        raise ValueError(f"encoder input must be a non-empty (T, d) array, got {inputs.shape}")
-    if inputs.shape[1] != m.input_dim:
-        raise ValueError(f"encoder input width {inputs.shape[1]}, model expects {m.input_dim}")
-    targets = _require_eos_terminated(m, targets)
-    prev = _teacher_inputs(m, targets)
-    us = _encdec_inputs(m, inputs, prev)
-    hs, _, caches = _unroll(m.cells, us, drop=drop)
-    tops = hs[-1]
-    n_steps = len(tops)
-    n_enc = len(inputs) - 1
-    emit_steps = range(n_enc, n_steps)
-    total, per_step, dlogits = _emit_losses(m, tops, emit_steps, targets, grads is not None, scale)
-    if grads is not None:
-        d_top = _prediction_backward(m, tops, dlogits, n_steps, grads)
-        d_us, _, _, _ = _unroll_backward(m.cells, caches, d_top, grad_accs=grads.cells)
-        d_e = m.embedding.dim
-        for j, p in enumerate(prev):
-            grads.embedding.W_e[:, p] += d_us[n_enc + j][:d_e]
-    return total, per_step
-
-
-def _perstep_loss(m, example, grads, scale, drop):
-    visual, tokens = example
-    v = _check_visual(m, visual, m.visual_dim)
-    _check_simplex_blocks(m, v)
-    tokens = _require_eos_terminated(m, tokens)
-    prev, hs, caches, _ = _token_visual_unroll(m, v, tokens, drop=drop)
-    tops = hs[-1]
-    n_steps = len(tops)
-    total, per_step, dlogits = _emit_losses(m, tops, range(n_steps), tokens, grads is not None, scale)
-    if grads is not None:
-        d_top = _prediction_backward(m, tops, dlogits, n_steps, grads)
-        d_us, _, _, _ = _unroll_backward(m.cells, caches, d_top, grad_accs=grads.cells)
-        d_e = m.embedding.dim
-        for t in range(n_steps):
-            grads.embedding.W_e[:, prev[t]] += d_us[t][:d_e]
+        else:
+            dv = np.zeros(m.visual_dim)
+            for d in d_us:
+                dv += d[d_e:]
+        grads.add_extractor(phi_backward(m.extractor, cache, dv)[1])
     return total, per_step

@@ -3,7 +3,8 @@
 All tensors in this package are plain ``numpy.ndarray`` values with dtype
 float64 and C (row-major) layout. Dense products are delegated to numpy;
 the functions here add the shape checking, numerical stabilization and
-small conventions the rest of the package relies on.
+small conventions the rest of the package relies on. :class:`NamedParams`
+is the base of every parameter container.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .errors import NumericError
 
 __all__ = [
     "as_f64",
+    "NamedParams",
     "matmul",
     "sigmoid",
     "tanh_act",
@@ -28,6 +30,20 @@ __all__ = [
 def as_f64(values) -> np.ndarray:
     """Coerce to a float64 array without copying when already one."""
     return np.asarray(values, dtype=np.float64)
+
+
+class NamedParams:
+    """Base of parameter containers.
+
+    ``PARAMS`` names the container's arrays once, in the order they take in
+    a model's parameter vector, and :meth:`blocks` reads them by those names.
+    """
+
+    PARAMS: tuple = ()
+
+    def blocks(self):
+        """Named parameter arrays, in ``PARAMS`` order."""
+        return [(name, getattr(self, name)) for name in self.PARAMS]
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,10 +2,16 @@
 
 The objective is the negative log likelihood summed over a sequence's
 predicted positions, averaged over the sequences of a minibatch. Updates
-are vanilla gradient descent: theta <- theta - lr * grad. Inverted dropout
-may be applied to the recurrent layer inputs during training; evaluation
-never rescales. All randomness (shuffling, dropout masks) flows from one
-generator seeded by the config, so a seeded run is exactly repeatable.
+are vanilla gradient descent: theta <- theta - lr * grad, one operation on
+the model's parameter vector ``m.params`` and the gradient vector of the
+same layout. Before it, frozen blocks of the gradient are set to zero, one
+finiteness test covers the whole gradient (the offending block is looked
+up only when it fails), and clipping rescales the whole gradient when its
+global L2 norm, summed array by array in layout order, exceeds the bound.
+Inverted dropout may be applied to the recurrent layer inputs during
+training; evaluation never rescales. All randomness (shuffling, dropout
+masks) flows from one generator seeded by the config, so a seeded run is
+exactly repeatable.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SequenceBatch
+from .data import CaptionPair, LabeledSequence, SeqPair, SequenceBatch
 from .errors import NumericError
 from .models import ModelGrads, ModelSpec, build_model, sequence_loss_and_grads
 from .features import make_extractor
@@ -48,7 +54,8 @@ class TrainConfig:
     the bound; None disables clipping. clip_len, when set for
     classification, trains on a random contiguous window of that many
     frames per example each epoch. frozen names parameter blocks whose
-    gradients are zeroed before every update.
+    gradients are zeroed before every update; a name that is not a block
+    of the model raises ValueError.
     """
 
     lr: float = 0.1
@@ -118,6 +125,10 @@ def sequence_nll(m: ModelSpec, batch: SequenceBatch) -> LossReport:
 
 
 def _sgd_step(m: ModelSpec, batch: SequenceBatch, cfg: TrainConfig, rng) -> LossReport:
+    if cfg.frozen:
+        unknown = sorted(set(cfg.frozen) - {name for name, _ in m.blocks()})
+        if unknown:
+            raise ValueError(f"frozen names that are not parameter blocks of this model: {unknown}")
     grads = ModelGrads(m)
     report = LossReport()
     scale = 1.0 / len(batch)
@@ -128,20 +139,19 @@ def _sgd_step(m: ModelSpec, batch: SequenceBatch, cfg: TrainConfig, rng) -> Loss
             raise NumericError(f"non-finite loss on sequence {b} of the batch")
         report.add_sequence(nll, per_step)
     if cfg.frozen:
+        # Assignment, not a multiplying mask: nan * 0.0 stays nan.
         frozen = set(cfg.frozen)
         for name, arr in grads.blocks():
             if name in frozen:
                 arr[:] = 0.0
-    for name, arr in grads.blocks():
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"non-finite gradient in parameter block {name!r}")
+    if not np.isfinite(grads.params).all():
+        bad = next(name for name, arr in grads.blocks() if not np.isfinite(arr).all())
+        raise NumericError(f"non-finite gradient in parameter block {bad!r}")
     if cfg.clip_norm is not None:
         norm = grads.global_norm()
         if norm > cfg.clip_norm:
-            grads.scale(cfg.clip_norm / norm)
-    lr = cfg.lr
-    for p, g in zip(m.raw(), grads.raw()):
-        p -= lr * g
+            grads.params *= cfg.clip_norm / norm
+    m.params -= cfg.lr * grads.params
     return report
 
 
@@ -183,8 +193,6 @@ def fit(m: ModelSpec, examples, cfg: TrainConfig, log=None, stop_fn=None):
         for lo in range(0, n, cfg.batch_size):
             chosen = [examples[i] for i in order[lo:lo + cfg.batch_size]]
             if m.task == "classify" and cfg.clip_len is not None:
-                from .data import LabeledSequence
-
                 chosen = [LabeledSequence(_clip_frames(ex.frames, cfg.clip_len, rng), ex.label) for ex in chosen]
             batch = SequenceBatch.from_examples(m.task, chosen)
             epoch_report.merge(_sgd_step(m, batch, cfg, rng))
@@ -322,8 +330,6 @@ def build_demo_model(topology: str, seed: int = 0, cell: str = "lstm") -> ModelS
 
 def build_demo_batch(topology: str, m: ModelSpec, seed: int = 0, n_sequences: int = 3) -> SequenceBatch:
     """Random examples matching :func:`build_demo_model` shapes."""
-    from .data import CaptionPair, LabeledSequence, SeqPair
-
     rng = np.random.default_rng(seed + 1)
 
     def random_tokens():

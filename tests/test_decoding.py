@@ -24,8 +24,7 @@ def zero_caption_model(n_words=2, hidden=4):
     ext = make_extractor("identity", (3,))
     m = build_model("caption", rng=rng, hidden=hidden, layers=1, cell="lstm",
                     extractor=ext, vocab=vocab, embed_dim=3)
-    for p in m.raw():
-        p[:] = 0.0
+    m.params[:] = 0.0
     return m
 
 

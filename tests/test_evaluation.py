@@ -226,8 +226,7 @@ class TestScorePairs:
 
     def test_zero_params_make_rows_identical(self):
         m = self.make_model()
-        for p in m.raw():
-            p[:] = 0.0
+        m.params[:] = 0.0
         feats = [np.ones(4) * s for s in range(3)]
         caps = [(0, m.vocab.eos), (1, 2, m.vocab.eos), (2, m.vocab.eos)]
         scores = score_pairs(m, feats, caps)

@@ -7,6 +7,7 @@ from recseq.cells import LstmCellParams
 from recseq.features import IdentityExtractor, make_extractor
 from recseq.models import (
     EmbeddingParams,
+    ModelGrads,
     ModelSpec,
     PredictionParams,
     Vocabulary,
@@ -22,6 +23,7 @@ from recseq.models import (
     sequence_loss_and_grads,
 )
 from recseq.tensor_ops import softmax
+from recseq.training import GRADCHECK_TOPOLOGIES, TrainConfig, build_demo_batch, build_demo_model, train_epoch
 
 
 def small_vocab():
@@ -322,3 +324,49 @@ def test_model_blocks_names_are_stable():
     assert "cell0.W_xi" in names and "cell1.b_c" in names
     assert names[-2:] == ["pred.W_z", "pred.b_z"]
     assert m.param_count() == sum(a.size for _, a in m.blocks())
+
+
+# Block names of the demo topologies: extractor, cells, embedding, prediction.
+DEMO_LAYOUT = {
+    "classify": (("W1", "b1", "W2", "b2"), 2, False),
+    "caption_1u": (("W", "b"), 1, True),
+    "caption_2u": (("W", "b"), 2, True),
+    "caption_2f": (("W", "b"), 2, True),
+    "encode_decode": ((), 1, True),
+    "perstep_decode": ((), 2, True),
+}
+CELL_BLOCKS = {
+    "lstm": [f"{w}{g}" for g in "ifoc" for w in ("W_x", "W_h", "b_")],
+    "rnn": ["W_xh", "W_hh", "b_h"],
+}
+
+
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+@pytest.mark.parametrize("topology", GRADCHECK_TOPOLOGIES)
+def test_blocks_are_named_views_of_one_vector(topology, cell):
+    m = build_demo_model(topology, seed=0, cell=cell)
+    phi, n_cells, has_embed = DEMO_LAYOUT[topology]
+    want = [f"phi.{n}" for n in phi]
+    want += [f"cell{i}.{n}" for i in range(n_cells) for n in CELL_BLOCKS[cell]]
+    want += ["embed.W_e"] * has_embed + ["pred.W_z", "pred.b_z"]
+    grads = ModelGrads(m)
+    assert [n for n, _ in m.blocks()] == want
+    assert [n for n, _ in grads.blocks()] == want
+    assert all(np.shares_memory(a, m.params) for _, a in m.blocks())
+    assert all(np.shares_memory(a, grads.params) for _, a in grads.blocks())
+    assert m.param_count() == m.params.size == sum(a.size for _, a in m.blocks())
+
+
+def test_models_built_over_shared_components_keep_separate_vectors():
+    m = build_demo_model("perstep_decode", seed=2)
+    twin = ModelSpec(
+        m.task, m.cells, m.prediction, vocab=m.vocab, embedding=m.embedding,
+        input_dim=m.input_dim, visual_mode=m.visual_mode, visual_blocks=m.visual_blocks,
+    )
+    assert not np.shares_memory(m.params, twin.params)
+    np.testing.assert_array_equal(m.params, twin.params)
+    before = [(n, a.copy()) for n, a in m.blocks()]
+    train_epoch(twin, [build_demo_batch("perstep_decode", twin, seed=2)], TrainConfig(lr=0.5))
+    assert np.max(np.abs(twin.params - m.params)) > 0
+    for (name, old), (_, now) in zip(before, m.blocks()):
+        np.testing.assert_array_equal(now, old, err_msg=name)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import recseq.cells
+import recseq.training
 from recseq.data import CaptionPair, LabeledSequence, SeqPair, SequenceBatch
 from recseq.errors import NumericError
 from recseq.features import make_extractor
@@ -24,8 +25,7 @@ from recseq.training import (
 
 
 def zeroed(m):
-    for p in m.raw():
-        p[:] = 0.0
+    m.params[:] = 0.0
     return m
 
 
@@ -188,6 +188,35 @@ class TestConstraints:
         moved = [name for name, arr in m.blocks()
                  if name not in frozen and np.max(np.abs(arr - before[name])) > 0]
         assert moved
+
+    def test_unknown_frozen_names_are_rejected_before_any_update(self):
+        m = build_demo_model("encode_decode", seed=5)
+        examples = demo_examples("encode_decode", m, range(4))
+        snap = snapshot(m)
+        cfg = TrainConfig(lr=0.3, epochs=1, batch_size=2, seed=0, frozen=("cell0.W_hl", "pred.b_z", "nope"))
+        with pytest.raises(ValueError, match=r"\['cell0\.W_hl', 'nope'\]"):
+            fit(m, examples, cfg)
+        assert max_param_diff(m, snap) == 0.0
+
+    def test_non_finite_gradient_names_its_block_unless_frozen(self, monkeypatch):
+        true_loss = recseq.training.sequence_loss_and_grads
+
+        def poisoned(m, example, grads=None, scale=1.0, drop=None):
+            out = true_loss(m, example, grads, scale=scale, drop=drop)
+            if grads is not None:
+                dict(grads.blocks())["cell0.W_hi"][0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(recseq.training, "sequence_loss_and_grads", poisoned)
+        m = build_demo_model("encode_decode", seed=5)
+        batch = build_demo_batch("encode_decode", m, seed=5)
+        with pytest.raises(NumericError, match="'cell0.W_hi'"):
+            train_epoch(m, [batch], TrainConfig(lr=0.3))
+        before = dict(snapshot(m))
+        train_epoch(m, [batch], TrainConfig(lr=0.3, frozen=("cell0.W_hi",)))
+        after = dict(m.blocks())
+        np.testing.assert_array_equal(after["cell0.W_hi"], before["cell0.W_hi"])
+        assert np.max(np.abs(after["cell0.W_xi"] - before["cell0.W_xi"])) > 0
 
     def test_clip_norm_caps_the_update_norm(self):
         m = build_demo_model("caption_1u", seed=8)
