@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import LstmCellParams, RnnCellParams
 from .data import atomic_write_bytes
 from .errors import DataFormatError
-from .features import IdentityExtractor, LinearExtractor, Mlp1Extractor, SmallConvExtractor
-from .models import EmbeddingParams, ModelSpec, PredictionParams, Vocabulary
+from .features import make_extractor
+from .models import ModelSpec, Vocabulary, build_model
 
 __all__ = ["MAGIC", "VERSION", "CheckpointBundle", "save_checkpoint", "load_checkpoint"]
 
@@ -58,29 +57,6 @@ def _describe_extractor(ext):
         d["n_filters"] = ext.n_filters
         d["kernel_size"] = ext.kernel_size
     return d
-
-
-def _rebuild_extractor(d):
-    if d is None:
-        return None
-    shape = tuple(int(s) for s in d["input_shape"])
-    variant = d["variant"]
-    if variant == "identity":
-        return IdentityExtractor(shape)
-    in_dim = int(np.prod(shape))
-    out = int(d["out_dim"])
-    if variant == "linear":
-        return LinearExtractor(shape, np.zeros((out, in_dim)), np.zeros(out))
-    if variant == "mlp1":
-        hid = int(d["hidden_dim"])
-        return Mlp1Extractor(shape, np.zeros((hid, in_dim)), np.zeros(hid), np.zeros((out, hid)), np.zeros(out))
-    if variant == "smallconv":
-        c, h, w = shape
-        f = int(d["n_filters"])
-        k = int(d["kernel_size"])
-        flat = f * ((h - k + 1) // 2) * ((w - k + 1) // 2)
-        return SmallConvExtractor(shape, np.zeros((f, c, k, k)), np.zeros(f), np.zeros((out, flat)), np.zeros(out))
-    raise DataFormatError(f"unknown extractor variant {variant!r}")
 
 
 def _rng_state(rng):
@@ -112,31 +88,24 @@ def _describe_model(m: ModelSpec, step: int, rng) -> dict:
 
 
 def _rebuild_model(header: dict) -> ModelSpec:
-    hidden = int(header["hidden"])
-    cells = []
-    for in_dim in header["layer_input_dims"]:
-        if header["cell"] == "lstm":
-            cells.append(LstmCellParams.zeros(hidden, int(in_dim)))
-        else:
-            cells.append(RnnCellParams.zeros(hidden, int(in_dim), header["rnn_nonlinearity"]))
-    vocab = None if header["vocab"] is None else Vocabulary.from_dict(header["vocab"])
-    embedding = None
-    if header["embed_dim"] is not None:
-        embedding = EmbeddingParams(np.zeros((int(header["embed_dim"]), vocab.size)))
-    prediction = PredictionParams(np.zeros((int(header["n_out"]), hidden)), np.zeros(int(header["n_out"])))
-    return ModelSpec(
-        header["task"],
-        cells,
-        prediction,
-        extractor=_rebuild_extractor(header["extractor"]),
-        vocab=vocab,
-        embedding=embedding,
-        factored=header["factored"],
-        inject_layer=header["inject_layer"],
-        input_dim=header["input_dim"],
-        visual_mode=header["visual_mode"],
-        visual_blocks=header["visual_blocks"],
+    """Build the described model; its placeholder weights are all overwritten."""
+    rng = np.random.default_rng(0)
+    extractor = header["extractor"]
+    if extractor is not None:
+        options = {k: v for k, v in extractor.items() if k in ("hidden_dim", "n_filters", "kernel_size")}
+        extractor = make_extractor(extractor["variant"], tuple(extractor["input_shape"]),
+                                   out_dim=extractor.get("out_dim"), rng=rng, **options)
+    m = build_model(
+        header["task"], rng=rng, hidden=header["hidden"], layers=len(header["layer_input_dims"]),
+        cell=header["cell"], rnn_nonlinearity=header["rnn_nonlinearity"], extractor=extractor,
+        n_classes=header["n_out"], vocab=None if header["vocab"] is None else Vocabulary.from_dict(header["vocab"]),
+        **{k: header[k] for k in ("embed_dim", "input_dim", "factored", "visual_mode", "visual_blocks")},
     )
+    described = _describe_model(m, 0, None)
+    wrong = sorted(k for k in described if k not in ("step", "rng_state") and described[k] != header[k])
+    if wrong:
+        raise ValueError(f"header fields {wrong} do not describe the model they build")
+    return m
 
 
 def save_checkpoint(path, m: ModelSpec, step: int = 0, rng: np.random.Generator | None = None):

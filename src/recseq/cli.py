@@ -25,6 +25,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     SequenceBatch,
+    example_tuple,
     gen_copy_task,
     gen_lag_recall,
     gen_order_task,
@@ -80,7 +81,6 @@ _TRAIN_SCHEMA = {
     "extractor_dim": (int, None),
     "embed_dim": (int, 16),
     "factored": (_parse_bool, False),
-    "inject_layer": (int, None),
     "epochs": (int, 10),
     "lr": (float, 0.1),
     "batch_size": (int, 16),
@@ -120,23 +120,15 @@ def _build_from_data(task, examples, aux, opts):
         cell=opts["cell"],
         rnn_nonlinearity=opts["rnn_nonlinearity"],
     )
-    if task == "classify":
-        shape = examples[0].frames.shape[1:]
-        ext = make_extractor(opts["extractor"], shape, out_dim=opts["extractor_dim"], rng=rng)
-        return build_model("classify", extractor=ext, n_classes=aux, **common)
-    if task == "caption":
-        shape = examples[0].image.shape
-        ext = make_extractor(opts["extractor"], shape, out_dim=opts["extractor_dim"], rng=rng)
-        return build_model(
-            "caption", extractor=ext, vocab=aux, embed_dim=opts["embed_dim"],
-            factored=opts["factored"], inject_layer=opts["inject_layer"], **common,
-        )
+    x = example_tuple(examples[0])[0]
     if task == "encode_decode":
-        input_dim = examples[0].inputs.shape[1]
-        return build_model(
-            "encode_decode", vocab=aux, embed_dim=opts["embed_dim"], input_dim=input_dim, **common,
-        )
-    raise UsageError(f"cannot train on datasets of task {task!r}")
+        return build_model("encode_decode", vocab=aux, embed_dim=opts["embed_dim"], input_dim=x.shape[1], **common)
+    ext = make_extractor(opts["extractor"], x.shape[1:] if task == "classify" else x.shape,
+                         out_dim=opts["extractor_dim"], rng=rng)
+    if task == "classify":
+        return build_model("classify", extractor=ext, n_classes=aux, **common)
+    return build_model("caption", extractor=ext, vocab=aux, embed_dim=opts["embed_dim"],
+                       factored=opts["factored"], **common)
 
 
 def _cmd_train(args) -> int:
@@ -159,7 +151,7 @@ def _cmd_train(args) -> int:
 
 
 def _default_max_len(examples) -> int:
-    return max(len(ex.targets if hasattr(ex, "targets") else ex.tokens) for ex in examples) + 2
+    return max(len(example_tuple(ex)[1]) for ex in examples) + 2
 
 
 def _strip_eos(m, ids):
@@ -169,12 +161,17 @@ def _strip_eos(m, ids):
     return ids
 
 
-def _cmd_eval(args) -> int:
-    bundle = load_checkpoint(args.model)
-    m = bundle.model
+def _load_model_and_data(args):
+    """The checkpoint's model plus the dataset, whose task must match it."""
+    m = load_checkpoint(args.model).model
     task, examples, _ = load_task_dir(args.data)
     if task != m.task:
         raise UsageError(f"dataset task {task!r} does not match model task {m.task!r}")
+    return m, task, examples
+
+
+def _cmd_eval(args) -> int:
+    m, task, examples = _load_model_and_data(args)
     metric = args.metric
     if metric == "nll":
         batch = SequenceBatch.from_examples(task, examples)
@@ -200,10 +197,9 @@ def _cmd_eval(args) -> int:
         hyps = []
         refs = []
         for ex in examples:
-            features = ex.inputs if task == "encode_decode" else ex.image
-            hyp = greedy_decode(m, features, max_len)
-            hyps.append(_strip_eos(m, hyp.tokens))
-            refs.append([_strip_eos(m, ex.targets if task == "encode_decode" else ex.tokens)])
+            features, targets = example_tuple(ex)
+            hyps.append(_strip_eos(m, greedy_decode(m, features, max_len).tokens))
+            refs.append([_strip_eos(m, targets)])
         print(f"bleu {corpus_bleu(hyps, refs, max_n=args.max_n):.6f}")
         return 0
     if metric == "retrieval":
@@ -226,16 +222,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    bundle = load_checkpoint(args.model)
-    m = bundle.model
-    task, examples, _ = load_task_dir(args.data)
-    if task != m.task:
-        raise UsageError(f"dataset task {task!r} does not match model task {m.task!r}")
+    m, task, examples = _load_model_and_data(args)
     if task == "classify":
         raise UsageError("generate applies to token tasks")
     max_len = args.max_len or _default_max_len(examples)
     for idx, ex in enumerate(examples):
-        features = ex.inputs if task == "encode_decode" else ex.image
+        features = example_tuple(ex)[0]
         if args.strategy == "greedy":
             hyps = [greedy_decode(m, features, max_len)]
         elif args.strategy == "beam":
@@ -311,7 +303,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--extractor-dim", type=int, dest="extractor_dim")
     p.add_argument("--embed-dim", type=int, dest="embed_dim")
     p.add_argument("--factored", action="store_const", const=True, default=None)
-    p.add_argument("--inject-layer", type=int, dest="inject_layer")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", type=int, dest="batch_size")

@@ -91,8 +91,26 @@ def example_tuple(ex):
     return ex.inputs, ex.targets
 
 
+# task -> (inputs are sequences, targets are sequences)
+_BATCH_LAYOUT = {
+    "classify": (True, False),
+    "caption": (False, True),
+    "perstep_decode": (False, True),
+    "encode_decode": (True, True),
+}
+
+
+def _pad(rows, dtype):
+    """Zero-padded (B, L, ...) array of variable-length rows plus the lengths."""
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    out = np.zeros((len(rows), int(lengths.max())) + np.shape(rows[0])[1:], dtype=dtype)
+    for b, row in enumerate(rows):
+        out[b, : len(row)] = row
+    return out, lengths
+
+
 class SequenceBatch:
-    """A padded batch with explicit lengths; masks are derived, not stored.
+    """A padded batch with explicit lengths.
 
     ``inputs`` is (B, T, d) for sequential tasks or (B, d) for static ones;
     ``targets`` is (B,) class ids or (B, L) padded token ids. Padded slots
@@ -111,61 +129,20 @@ class SequenceBatch:
     def from_examples(cls, task, examples):
         if not examples:
             raise ValueError("cannot batch zero examples")
-        pairs = [example_tuple(e) for e in examples]
-        if task == "classify":
-            lengths = np.array([len(p[0]) for p in pairs], dtype=np.int64)
-            t_max = int(lengths.max())
-            frame_shape = np.shape(pairs[0][0])[1:]
-            inputs = np.zeros((len(pairs), t_max) + frame_shape)
-            for b, (frames, _) in enumerate(pairs):
-                inputs[b, : len(frames)] = frames
-            targets = np.array([p[1] for p in pairs], dtype=np.int64)
-            return cls(task, inputs, targets, input_lengths=lengths)
-        if task in ("caption", "perstep_decode"):
-            inputs = np.stack([as_f64(p[0]) for p in pairs])
-            tlen = np.array([len(p[1]) for p in pairs], dtype=np.int64)
-            targets = np.zeros((len(pairs), int(tlen.max())), dtype=np.int64)
-            for b, (_, toks) in enumerate(pairs):
-                targets[b, : len(toks)] = toks
-            return cls(task, inputs, targets, target_lengths=tlen)
-        if task == "encode_decode":
-            ilen = np.array([len(p[0]) for p in pairs], dtype=np.int64)
-            d = np.shape(pairs[0][0])[1]
-            inputs = np.zeros((len(pairs), int(ilen.max()), d))
-            for b, (seq, _) in enumerate(pairs):
-                inputs[b, : len(seq)] = seq
-            tlen = np.array([len(p[1]) for p in pairs], dtype=np.int64)
-            targets = np.zeros((len(pairs), int(tlen.max())), dtype=np.int64)
-            for b, (_, toks) in enumerate(pairs):
-                targets[b, : len(toks)] = toks
-            return cls(task, inputs, targets, input_lengths=ilen, target_lengths=tlen)
-        raise ValueError(f"unknown task {task!r}")
-
-    @property
-    def input_mask(self):
-        """(B, T) array, 1 on real steps and 0 exactly on padded ones."""
-        if self.input_lengths is None:
-            return None
-        t_max = self.inputs.shape[1]
-        return (np.arange(t_max)[None, :] < self.input_lengths[:, None]).astype(np.float64)
-
-    @property
-    def target_mask(self):
-        if self.target_lengths is None:
-            return None
-        l_max = self.targets.shape[1]
-        return (np.arange(l_max)[None, :] < self.target_lengths[:, None]).astype(np.float64)
+        if task not in _BATCH_LAYOUT:
+            raise ValueError(f"unknown task {task!r}")
+        seq_in, seq_out = _BATCH_LAYOUT[task]
+        xs, ys = zip(*(example_tuple(e) for e in examples))
+        inputs, in_len = _pad(xs, np.float64) if seq_in else (np.stack([as_f64(x) for x in xs]), None)
+        targets, out_len = _pad(ys, np.int64) if seq_out else (np.array(ys, dtype=np.int64), None)
+        return cls(task, inputs, targets, input_lengths=in_len, target_lengths=out_len)
 
     def example(self, b):
         """The b-th example as the loss-function input tuple."""
-        if self.task == "classify":
-            return self.inputs[b, : self.input_lengths[b]], int(self.targets[b])
-        if self.task in ("caption", "perstep_decode"):
-            return self.inputs[b], tuple(int(t) for t in self.targets[b, : self.target_lengths[b]])
-        return (
-            self.inputs[b, : self.input_lengths[b]],
-            tuple(int(t) for t in self.targets[b, : self.target_lengths[b]]),
-        )
+        x = self.inputs[b] if self.input_lengths is None else self.inputs[b, : self.input_lengths[b]]
+        if self.target_lengths is None:
+            return x, int(self.targets[b])
+        return x, tuple(int(t) for t in self.targets[b, : self.target_lengths[b]])
 
     def __len__(self):
         return self.size
@@ -476,6 +453,12 @@ def load_kv(path):
 # Task dataset directories
 
 
+# task -> (feature file, token file or None) of the windowed layout: the
+# rows of one feature file plus windows.tsv, whose id column holds the label
+# or the line of the target in the token file.
+_WINDOWED = {"classify": ("frames.txt", None), "encode_decode": ("inputs.txt", "targets.txt")}
+
+
 def save_task_dir(directory, task, examples, vocab: Vocabulary | None = None, meta=None):
     """Write a generated dataset as a directory of the standard formats."""
     os.makedirs(directory, exist_ok=True)
@@ -488,26 +471,17 @@ def save_task_dir(directory, task, examples, vocab: Vocabulary | None = None, me
         captions = [vocab.decode(ex.tokens[:-1]) for ex in examples]
         save_tokens(os.path.join(directory, "captions.txt"), captions)
         save_pairs(os.path.join(directory, "pairs.tsv"), [(i, i) for i in range(len(examples))])
-    elif task == "classify":
-        frames = np.concatenate([ex.frames for ex in examples])
-        save_features(os.path.join(directory, "frames.txt"), frames)
-        rows = []
-        start = 0
-        for ex in examples:
-            rows.append(("frames.txt", start, len(ex.frames), ex.label))
-            start += len(ex.frames)
-        save_windows(os.path.join(directory, "windows.tsv"), rows)
-    elif task == "encode_decode":
-        inputs = np.concatenate([ex.inputs for ex in examples])
-        save_features(os.path.join(directory, "inputs.txt"), inputs)
-        targets = [vocab.decode(ex.targets[:-1]) for ex in examples]
-        save_tokens(os.path.join(directory, "targets.txt"), targets)
-        rows = []
-        start = 0
-        for idx, ex in enumerate(examples):
-            rows.append(("inputs.txt", start, len(ex.inputs), idx))
-            start += len(ex.inputs)
-        save_windows(os.path.join(directory, "windows.tsv"), rows)
+    elif task in _WINDOWED:
+        feature_file, token_file = _WINDOWED[task]
+        xs, ys = zip(*(example_tuple(ex) for ex in examples))
+        save_features(os.path.join(directory, feature_file), np.concatenate(xs))
+        if token_file is not None:
+            save_tokens(os.path.join(directory, token_file), [vocab.decode(y[:-1]) for y in ys])
+            ys = range(len(ys))
+        starts = np.cumsum([0] + [len(x) for x in xs])
+        save_windows(os.path.join(directory, "windows.tsv"), [
+            (feature_file, start, len(x), y) for start, x, y in zip(starts, xs, ys)
+        ])
     else:
         raise ValueError(f"cannot save datasets for task {task!r}")
     meta_lines = [f"{k}={v}" for k, v in sorted(info.items())]
@@ -542,30 +516,24 @@ def load_task_dir(directory):
             toks = tuple(vocab.encode(captions[line])) + (vocab.eos,)
             examples.append(CaptionPair(images[row], toks))
         return task, examples, vocab
-    if task == "classify":
-        frames = load_features(os.path.join(directory, "frames.txt"))
-        manifest_path = os.path.join(directory, "windows.tsv")
-        rows = load_windows(manifest_path)
-        examples = []
-        for name, start, length, label in rows:
-            if start + length > len(frames):
-                raise DataFormatError(f"window [{start}, {start + length}) exceeds {len(frames)} rows", path=manifest_path)
-            examples.append(LabeledSequence(frames[start:start + length], label))
-        n_classes = int(meta.get("classes", max(ex.label for ex in examples) + 1))
-        return task, examples, n_classes
-    if task == "encode_decode":
-        inputs = load_features(os.path.join(directory, "inputs.txt"))
-        targets = load_tokens(os.path.join(directory, "targets.txt"))
-        manifest_path = os.path.join(directory, "windows.tsv")
-        rows = load_windows(manifest_path)
-        vocab = _corpus_vocab(targets)
-        examples = []
-        for name, start, length, idx in rows:
-            if start + length > len(inputs):
-                raise DataFormatError(f"window [{start}, {start + length}) exceeds {len(inputs)} rows", path=manifest_path)
-            if not 0 <= idx < len(targets):
-                raise DataFormatError(f"target line {idx} out of range", path=manifest_path)
-            toks = tuple(vocab.encode(targets[idx])) + (vocab.eos,)
-            examples.append(SeqPair(inputs[start:start + length], toks))
-        return task, examples, vocab
-    raise DataFormatError(f"unknown task {task!r} in meta.txt", path=os.path.join(directory, "meta.txt"))
+    if task not in _WINDOWED:
+        raise DataFormatError(f"unknown task {task!r} in meta.txt", path=os.path.join(directory, "meta.txt"))
+    feature_file, token_file = _WINDOWED[task]
+    rows = load_features(os.path.join(directory, feature_file))
+    manifest_path = os.path.join(directory, "windows.tsv")
+    windows = []
+    for _, start, length, ident in load_windows(manifest_path):
+        if start + length > len(rows):
+            raise DataFormatError(f"window [{start}, {start + length}) exceeds {len(rows)} rows", path=manifest_path)
+        windows.append((rows[start:start + length], ident))
+    if token_file is None:
+        n_classes = int(meta.get("classes", max(label for _, label in windows) + 1))
+        return task, [LabeledSequence(x, label) for x, label in windows], n_classes
+    targets = load_tokens(os.path.join(directory, token_file))
+    vocab = _corpus_vocab(targets)
+    examples = []
+    for x, idx in windows:
+        if not 0 <= idx < len(targets):
+            raise DataFormatError(f"target line {idx} out of range", path=manifest_path)
+        examples.append(SeqPair(x, tuple(vocab.encode(targets[idx])) + (vocab.eos,)))
+    return task, examples, vocab

@@ -60,33 +60,12 @@ def _closest_ref_len(references, c):
     return min((len(r) for r in references), key=lambda r: (abs(r - c), r))
 
 
-def _validate_bleu_args(candidate, references, max_n):
-    if max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
-    if not references or any(len(r) == 0 for r in references):
-        raise ValueError("need at least one non-empty reference")
-
-
 def bleu(candidate, references, max_n: int = 4) -> float:
     """Sentence BLEU of one candidate against one or more references.
 
     An empty candidate scores zero (it matches nothing).
     """
-    candidate = list(candidate)
-    references = [list(r) for r in references]
-    _validate_bleu_args(candidate, references, max_n)
-    if not candidate:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        matched, total = _clipped_counts(candidate, references, n)
-        if matched == 0:
-            return 0.0
-        log_sum += math.log(matched / total)
-    c = len(candidate)
-    r = _closest_ref_len(references, c)
-    brevity = min(1.0, math.exp(1.0 - r / c))
-    return brevity * math.exp(log_sum / max_n)
+    return corpus_bleu([candidate], [references], max_n)
 
 
 def corpus_bleu(candidates, references_list, max_n: int = 4) -> float:
@@ -95,6 +74,8 @@ def corpus_bleu(candidates, references_list, max_n: int = 4) -> float:
         raise ValueError("one reference set per candidate is required")
     if not candidates:
         raise ValueError("empty corpus")
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     matched = [0] * max_n
     totals = [0] * max_n
     c_sum = 0
@@ -102,7 +83,8 @@ def corpus_bleu(candidates, references_list, max_n: int = 4) -> float:
     for candidate, references in zip(candidates, references_list):
         candidate = list(candidate)
         references = [list(r) for r in references]
-        _validate_bleu_args(candidate, references, max_n)
+        if not references or any(len(r) == 0 for r in references):
+            raise ValueError("need at least one non-empty reference")
         for n in range(1, max_n + 1):
             m_n, t_n = _clipped_counts(candidate, references, n)
             matched[n - 1] += m_n

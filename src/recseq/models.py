@@ -7,10 +7,10 @@ Three families of sequence problems share one recurrent core:
                   per-step class distributions are averaged (late fusion).
   caption         static input, sequential output. The image feature is
                   duplicated at every step and combined with the embedded
-                  previous token. With ``factored=True`` the embedding feeds
-                  layer 1 alone and the image feature is concatenated onto
-                  the input of a higher layer, so the first layer's state is
-                  conditionally independent of the image.
+                  previous token. With ``factored=True`` (two layers) the
+                  embedding feeds layer 1 alone and the image feature is
+                  concatenated onto the input of layer 2, so the first
+                  layer's state is conditionally independent of the image.
   encode_decode   sequential input, sequential output, run as one shared
                   stacked recurrence. The first T steps consume the input
                   vectors; from step T onward the embedded previous output
@@ -245,7 +245,6 @@ class ModelSpec(_ParamLayout):
         vocab: Vocabulary | None = None,
         embedding: EmbeddingParams | None = None,
         factored: bool = False,
-        inject_layer: int | None = None,
         input_dim: int | None = None,
         visual_mode: str | None = None,
         visual_blocks=None,
@@ -261,7 +260,8 @@ class ModelSpec(_ParamLayout):
         self._bind(extractor, cells, embedding, prediction)
         self.vocab = vocab
         self.factored = bool(factored)
-        self.inject_layer = inject_layer
+        # 1-based layer that receives the image feature of a factored model.
+        self.inject_layer = 2 if self.factored else None
         self.input_dim = input_dim
         self.visual_mode = visual_mode
         self.visual_blocks = None if visual_blocks is None else tuple(int(b) for b in visual_blocks)
@@ -289,13 +289,8 @@ class ModelSpec(_ParamLayout):
                 raise ValueError("caption models need a feature extractor")
             if self.n_layers not in (1, 2):
                 raise ValueError("caption models support one or two layers")
-            if self.factored:
-                if self.n_layers < 2:
-                    raise ValueError("factored caption models need at least two layers")
-                if self.inject_layer is None or not 2 <= self.inject_layer <= self.n_layers:
-                    raise ValueError("factored models must inject the image feature at a layer >= 2")
-            elif self.inject_layer is not None:
-                raise ValueError("inject_layer is only meaningful for factored models")
+            if self.factored and self.n_layers != 2:
+                raise ValueError("factored caption models need exactly two layers")
         elif self.factored:
             raise ValueError("factored wiring applies to caption models only")
         if self.task in ("encode_decode", "perstep_decode") and not self.input_dim:
@@ -356,7 +351,6 @@ def build_model(
     embed_dim: int | None = None,
     input_dim: int | None = None,
     factored: bool = False,
-    inject_layer: int | None = None,
     visual_mode: str | None = None,
     visual_blocks=None,
 ) -> ModelSpec:
@@ -365,8 +359,6 @@ def build_model(
         raise ValueError(f"unknown task {task!r}")
     if cell not in ("lstm", "rnn"):
         raise ValueError(f"unknown cell kind {cell!r}")
-    if factored and inject_layer is None:
-        inject_layer = 2
 
     embedding = None
     if task == "classify":
@@ -393,7 +385,7 @@ def build_model(
     layer_cells = []
     for idx in range(layers):
         in_dim = first_in if idx == 0 else hidden
-        if factored and inject_layer is not None and idx == inject_layer - 1:
+        if factored and idx == 1:
             in_dim += visual
         if cell == "lstm":
             layer_cells.append(LstmCellParams.init(hidden, in_dim, rng))
@@ -408,7 +400,6 @@ def build_model(
         vocab=vocab,
         embedding=embedding,
         factored=factored,
-        inject_layer=inject_layer if factored else None,
         input_dim=input_dim,
         visual_mode=visual_mode,
         visual_blocks=visual_blocks,
