@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import atomic_write_bytes
-from .errors import DataFormatError
+from .errors import DataFormatError, NumericError
 from .features import make_extractor
 from .models import ModelSpec, Vocabulary, build_model
 
@@ -110,6 +110,9 @@ def _rebuild_model(header: dict) -> ModelSpec:
 
 def save_checkpoint(path, m: ModelSpec, step: int = 0, rng: np.random.Generator | None = None):
     """Write the model (and optional training state) to ``path`` atomically."""
+    if not np.isfinite(m.params).all():
+        bad = next(name for name, arr in m.blocks() if not np.isfinite(arr).all())
+        raise NumericError(f"refusing to save non-finite parameters (block {bad!r})")
     header = json.dumps(_describe_model(m, step, rng), sort_keys=True, separators=(",", ":")).encode("utf-8")
     blocks = m.blocks()
     parts = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", len(header)), header]
@@ -166,17 +169,17 @@ def load_checkpoint(path) -> CheckpointBundle:
     views = dict(m.blocks())
     seen = set()
     for _ in range(r.u64()):
-        name = r.take(r.u64()).decode("utf-8")
-        ndim = r.u64()
-        shape = tuple(r.u64() for _ in range(ndim))
-        payload = np.frombuffer(r.take(8 * int(np.prod(shape, dtype=np.int64))), dtype="<f8").reshape(shape)
+        name = r.take(r.u64()).decode("utf-8", errors="replace")
+        shape = tuple(r.u64() for _ in range(r.u64()))
         if name not in views:
             raise DataFormatError(f"unexpected parameter block {name!r}", path=path)
         if views[name].shape != shape:
             raise DataFormatError(
                 f"block {name!r} has shape {shape}, model expects {views[name].shape}", path=path,
             )
-        np.copyto(views[name], payload)
+        # The size comes from the model's own block, never from the file's
+        # dimensions, and take() checks it against the bytes left.
+        np.copyto(views[name], np.frombuffer(r.take(8 * views[name].size), dtype="<f8").reshape(shape))
         seen.add(name)
     missing = [n for n in views if n not in seen]
     if missing:

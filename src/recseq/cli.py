@@ -123,8 +123,10 @@ def _build_from_data(task, examples, aux, opts):
     x = example_tuple(examples[0])[0]
     if task == "encode_decode":
         return build_model("encode_decode", vocab=aux, embed_dim=opts["embed_dim"], input_dim=x.shape[1], **common)
-    ext = make_extractor(opts["extractor"], x.shape[1:] if task == "classify" else x.shape,
-                         out_dim=opts["extractor_dim"], rng=rng)
+    shape = x.shape[1:] if task == "classify" else x.shape
+    if opts["extractor"] == "smallconv" and len(shape) != 3:
+        raise UsageError(f"smallconv needs (C, H, W) frames; this dataset's frames have shape {shape}")
+    ext = make_extractor(opts["extractor"], shape, out_dim=opts["extractor_dim"], rng=rng)
     if task == "classify":
         return build_model("classify", extractor=ext, n_classes=aux, **common)
     return build_model("caption", extractor=ext, vocab=aux, embed_dim=opts["embed_dim"],

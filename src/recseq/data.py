@@ -17,6 +17,7 @@ key=value pairs plus the files above; see :func:`save_task_dir`.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -358,7 +359,11 @@ def load_features(path) -> np.ndarray:
                 rows.append([float(v) for v in fields])
             except ValueError:
                 raise DataFormatError("unparseable float", path=path, line=lineno) from None
-    return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    out = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise DataFormatError("non-finite value (nan or inf)", path=path, line=int(np.argmin(finite)) + 2)
+    return out
 
 
 def save_pairs(path, pairs):
@@ -474,7 +479,10 @@ def save_task_dir(directory, task, examples, vocab: Vocabulary | None = None, me
     elif task in _WINDOWED:
         feature_file, token_file = _WINDOWED[task]
         xs, ys = zip(*(example_tuple(ex) for ex in examples))
-        save_features(os.path.join(directory, feature_file), np.concatenate(xs))
+        frame_shape = np.shape(xs[0])[1:]
+        if len(frame_shape) > 1:
+            info["frame_shape"] = ",".join(str(d) for d in frame_shape)
+        save_features(os.path.join(directory, feature_file), np.concatenate([np.reshape(x, (len(x), -1)) for x in xs]))
         if token_file is not None:
             save_tokens(os.path.join(directory, token_file), [vocab.decode(y[:-1]) for y in ys])
             ys = range(len(ys))
@@ -500,12 +508,15 @@ def load_task_dir(directory):
     The third element is a Vocabulary for token tasks and the class count
     for classification.
     """
-    meta = load_kv(os.path.join(directory, "meta.txt"))
+    meta_path = os.path.join(directory, "meta.txt")
+    meta = load_kv(meta_path)
     task = meta.get("task")
     if task == "caption":
         images = load_features(os.path.join(directory, "images.txt"))
         captions = load_tokens(os.path.join(directory, "captions.txt"))
         pairs = load_pairs(os.path.join(directory, "pairs.tsv"))
+        if not pairs:
+            raise DataFormatError("no examples", path=os.path.join(directory, "pairs.tsv"))
         vocab = _corpus_vocab(captions)
         examples = []
         for row, line in pairs:
@@ -517,17 +528,34 @@ def load_task_dir(directory):
             examples.append(CaptionPair(images[row], toks))
         return task, examples, vocab
     if task not in _WINDOWED:
-        raise DataFormatError(f"unknown task {task!r} in meta.txt", path=os.path.join(directory, "meta.txt"))
+        raise DataFormatError(f"unknown task {task!r} in meta.txt", path=meta_path)
     feature_file, token_file = _WINDOWED[task]
     rows = load_features(os.path.join(directory, feature_file))
+    if "frame_shape" in meta:
+        try:
+            frame_shape = tuple(int(d) for d in meta["frame_shape"].split(","))
+        except ValueError:
+            frame_shape = ()
+        if not frame_shape or min(frame_shape) < 1 or math.prod(frame_shape) != rows.shape[1]:
+            raise DataFormatError(f"frame_shape={meta['frame_shape']} does not fit rows of {rows.shape[1]} values",
+                                  path=meta_path)
+        rows = rows.reshape((len(rows),) + frame_shape)
     manifest_path = os.path.join(directory, "windows.tsv")
     windows = []
     for _, start, length, ident in load_windows(manifest_path):
         if start + length > len(rows):
             raise DataFormatError(f"window [{start}, {start + length}) exceeds {len(rows)} rows", path=manifest_path)
         windows.append((rows[start:start + length], ident))
+    if not windows:
+        raise DataFormatError("no examples", path=manifest_path)
     if token_file is None:
-        n_classes = int(meta.get("classes", max(label for _, label in windows) + 1))
+        try:
+            n_classes = int(meta.get("classes", max(label for _, label in windows) + 1))
+        except ValueError:
+            raise DataFormatError(f"bad classes={meta['classes']!r}", path=meta_path) from None
+        for _, label in windows:
+            if not 0 <= label < n_classes:
+                raise DataFormatError(f"label {label} outside [0, {n_classes})", path=manifest_path)
         return task, [LabeledSequence(x, label) for x, label in windows], n_classes
     targets = load_tokens(os.path.join(directory, token_file))
     vocab = _corpus_vocab(targets)

@@ -359,6 +359,10 @@ def build_model(
         raise ValueError(f"unknown task {task!r}")
     if cell not in ("lstm", "rnn"):
         raise ValueError(f"unknown cell kind {cell!r}")
+    sizes = {"hidden": hidden, "embed_dim": embed_dim, "extractor out_dim": getattr(extractor, "out_dim", None)}
+    for name, size in sizes.items():
+        if size is not None and size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
 
     embedding = None
     if task == "classify":

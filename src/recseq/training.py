@@ -68,6 +68,19 @@ class TrainConfig:
     frozen: tuple = ()
     shuffle: bool = True
 
+    def __post_init__(self):
+        rules = (
+            ("lr", np.isfinite(self.lr) and self.lr >= 0.0, "finite and >= 0"),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+            ("clip_norm", self.clip_norm is None or self.clip_norm > 0.0, "> 0 when set"),
+            ("clip_len", self.clip_len is None or self.clip_len >= 1, ">= 1 when set"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
 
 @dataclass
 class LossReport:

@@ -1,10 +1,12 @@
 """Binary checkpoint format: exact round trips and corruption detection."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from recseq.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from recseq.errors import DataFormatError
+from recseq.errors import DataFormatError, NumericError
 from recseq.features import make_extractor
 from recseq.models import Vocabulary, build_model
 from recseq.training import build_demo_model
@@ -146,3 +148,59 @@ class TestCorruption:
         path.write_bytes(bytes(data))
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
+
+    def test_header_that_disagrees_with_the_derived_inject_layer(self, tmp_path):
+        m = build_demo_model("caption_2f", seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m)
+        data = path.read_bytes()
+        assert data.count(b'"inject_layer":2') == 1
+        path.write_bytes(data.replace(b'"inject_layer":2', b'"inject_layer":3'))
+        with pytest.raises(DataFormatError, match="inject_layer"):
+            load_checkpoint(path)
+
+    def test_block_dimension_beyond_the_file_size(self, tmp_path):
+        path = self.saved(tmp_path)
+        data = bytearray(path.read_bytes())
+        offset = len(MAGIC) + 4
+        header_len = struct.unpack_from("<Q", data, offset)[0]
+        offset += 8 + header_len + 8  # past the header and the block count
+        name_len = struct.unpack_from("<Q", data, offset)[0]
+        offset += 8 + name_len + 8  # past the first block's name and ndim
+        assert struct.unpack_from("<2Q", data, offset) == (8, 9)
+        # 8 * 2**62 wraps to 0 in 64-bit arithmetic.
+        struct.pack_into("<Q", data, offset + 8, 2 ** 62)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError):
+            load_checkpoint(path)
+
+
+class TestExtractorVariants:
+    @pytest.mark.parametrize("variant,shape,options", [
+        ("identity", (5,), {}),
+        ("linear", (5,), {"out_dim": 3}),
+        ("mlp1", (5,), {"out_dim": 3, "hidden_dim": 4}),
+        ("smallconv", (1, 6, 6), {"out_dim": 3, "n_filters": 2, "kernel_size": 3}),
+    ])
+    def test_classify_model_round_trips(self, tmp_path, variant, shape, options):
+        rng = np.random.default_rng(5)
+        ext = make_extractor(variant, shape, rng=rng, **options)
+        m = build_model("classify", rng=rng, hidden=4, layers=1, extractor=ext, n_classes=3)
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(a, m, step=2)
+        loaded = load_checkpoint(a).model
+        assert_models_identical(m, loaded)
+        assert loaded.extractor.variant == variant
+        assert loaded.extractor.input_shape == shape
+        save_checkpoint(b, loaded, step=2)
+        assert a.read_bytes() == b.read_bytes()
+
+
+class TestNonFiniteParameters:
+    def test_save_refuses_and_writes_nothing(self, tmp_path):
+        m = build_demo_model("caption_1u", seed=0)
+        m.prediction.b_z[1] = np.inf
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(NumericError, match="pred.b_z"):
+            save_checkpoint(path, m)
+        assert not path.exists()

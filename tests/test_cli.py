@@ -1,11 +1,15 @@
 """End-to-end command line flows on tiny synthetic datasets."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from recseq.checkpoint import load_checkpoint
+import recseq.training
+from recseq.checkpoint import MAGIC, load_checkpoint
 from recseq.cli import main
-from recseq.data import load_task_dir
+from recseq.data import LabeledSequence, load_task_dir, save_task_dir
 
 
 def run(capsys, *argv):
@@ -77,6 +81,126 @@ class TestExitCodes:
                            "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg))
         assert code == 1
         assert "momentum" in err
+
+
+def _order_dir(tmp_path, capsys, name="order", *extra):
+    d = tmp_path / name
+    code, _, err = run(capsys, "synth", "--task", "order", "--out", str(d), "--count", "8", "--seq-len", "4", *extra)
+    assert code == 0, err
+    return d
+
+
+def _train_order(tmp_path, capsys, *flags, edit=None):
+    d = _order_dir(tmp_path, capsys)
+    if edit is not None:
+        edit(d)
+    return ["train", "--data", str(d), "--out", str(tmp_path / "m.ckpt"), "--hidden", "3", "--epochs", "1", *flags]
+
+
+def _edit_text(path, old, new):
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+
+
+def _eval_edited_checkpoint(tmp_path, capsys, edit):
+    argv = _train_order(tmp_path, capsys)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    ckpt = tmp_path / "m.ckpt"
+    data = bytearray(ckpt.read_bytes())
+    ckpt.write_bytes(edit(data))
+    return ["eval", "--model", str(ckpt), "--data", argv[2], "--metric", "accuracy"]
+
+
+def _header_field(name, value):
+    def edit(data):
+        offset = len(MAGIC) + 4
+        (length,) = struct.unpack_from("<Q", data, offset)
+        header = json.loads(data[offset + 8:offset + 8 + length])
+        header[name] = value
+        encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        return bytes(data[:offset]) + struct.pack("<Q", len(encoded)) + encoded + bytes(data[offset + 8 + length:])
+    return edit
+
+
+def _huge_first_dimension(data):
+    offset = len(MAGIC) + 4
+    offset += 8 + struct.unpack_from("<Q", data, offset)[0] + 8
+    offset += 8 + struct.unpack_from("<Q", data, offset)[0] + 8
+    struct.pack_into("<Q", data, offset, 2 ** 62)
+    return bytes(data)
+
+
+def _overflowing_update(tmp_path, capsys):
+    # One example of eight frames: the first update of lr 1e308 overflows.
+    d = _order_dir(tmp_path, capsys, "one", "--count", "2", "--seq-len", "8")
+    return ["train", "--data", str(d), "--out", str(tmp_path / "m.ckpt"), "--epochs", "1", "--lr", "1e308"]
+
+
+# (case, function returning the argv, documented exit code)
+BAD_INVOCATIONS = [
+    ("lr_nan", lambda t, c: _train_order(t, c, "--lr", "nan"), 1),
+    ("lr_negative", lambda t, c: _train_order(t, c, "--lr", "-1"), 1),
+    ("epochs_negative", lambda t, c: _train_order(t, c, "--epochs", "-1"), 1),
+    ("batch_size_zero", lambda t, c: _train_order(t, c, "--batch-size", "0"), 1),
+    ("dropout_one", lambda t, c: _train_order(t, c, "--dropout", "1"), 1),
+    ("clip_norm_zero", lambda t, c: _train_order(t, c, "--clip-norm", "0"), 1),
+    ("clip_len_zero", lambda t, c: _train_order(t, c, "--clip-len", "0"), 1),
+    ("hidden_zero", lambda t, c: _train_order(t, c, "--hidden", "0"), 1),
+    ("extractor_dim_zero", lambda t, c: _train_order(t, c, "--extractor", "linear", "--extractor-dim", "0"), 1),
+    ("smallconv_on_flat_frames", lambda t, c: _train_order(t, c, "--extractor", "smallconv", "--extractor-dim", "4"), 1),
+    ("inject_layer_flag_is_gone", lambda t, c: _train_order(t, c, "--inject-layer", "2"), 1),
+    ("non_finite_parameters", _overflowing_update, 3),
+    ("label_out_of_range", lambda t, c: _train_order(
+        t, c, edit=lambda d: (d / "windows.tsv").write_text("frames.txt\t0\t4\t7\n")), 2),
+    ("no_windows", lambda t, c: _train_order(t, c, edit=lambda d: (d / "windows.tsv").write_text("")), 2),
+    ("classes_not_a_number", lambda t, c: _train_order(
+        t, c, edit=lambda d: _edit_text(d / "meta.txt", "classes=2", "classes=two")), 2),
+    ("nan_in_feature_file", lambda t, c: _train_order(
+        t, c, edit=lambda d: _edit_text(d / "frames.txt", "\n0.0 ", "\nnan ")), 2),
+    ("frame_shape_mismatch", lambda t, c: _train_order(
+        t, c, edit=lambda d: _edit_text(d / "meta.txt", "classes=2\n", "classes=2\nframe_shape=2,2\n")), 2),
+    ("checkpoint_dimension_2_62", lambda t, c: _eval_edited_checkpoint(t, c, _huge_first_dimension), 2),
+    ("checkpoint_inject_layer_3", lambda t, c: _eval_edited_checkpoint(t, c, _header_field("inject_layer", 3)), 2),
+]
+
+
+class TestFailureContract:
+    @pytest.mark.parametrize("build,expected", [case[1:] for case in BAD_INVOCATIONS],
+                             ids=[case[0] for case in BAD_INVOCATIONS])
+    def test_exit_code_without_traceback(self, capsys, tmp_path, build, expected):
+        argv = build(tmp_path, capsys)
+        code, out, err = run(capsys, *argv)
+        assert code == expected, err
+        assert "Traceback" not in out + err
+        assert "error: " in err
+
+    def test_gradcheck_with_a_non_finite_probe_exits_3(self, capsys, monkeypatch):
+        true_loss = recseq.training.sequence_loss_and_grads
+
+        def poisoned(m, example, grads=None, scale=1.0, drop=None):
+            nll, per_step = true_loss(m, example, grads, scale=scale, drop=drop)
+            return (nll, per_step) if grads is not None else (float("inf"), per_step)
+
+        monkeypatch.setattr(recseq.training, "sequence_loss_and_grads", poisoned)
+        code, out, err = run(capsys, "gradcheck", "--task", "encode_decode")
+        assert code == 3
+        assert "Traceback" not in out + err
+
+    def test_smallconv_trains_on_image_frames(self, capsys, tmp_path):
+        rng = np.random.default_rng(0)
+        examples = [LabeledSequence(rng.standard_normal((3, 1, 8, 8)), k % 2) for k in range(4)]
+        d = tmp_path / "frames"
+        save_task_dir(d, "classify", examples, meta={"classes": 2})
+        ckpt = tmp_path / "conv.ckpt"
+        code, out, err = run(capsys, "train", "--data", str(d), "--out", str(ckpt), "--extractor", "smallconv",
+                             "--extractor-dim", "4", "--hidden", "3", "--epochs", "1")
+        assert code == 0, err
+        assert load_checkpoint(ckpt).model.extractor.input_shape == (1, 8, 8)
+        code, out, _ = run(capsys, "eval", "--model", str(ckpt), "--data", str(d), "--metric", "accuracy")
+        assert code == 0
+        assert out.startswith("accuracy ")
 
 
 class TestSynth:

@@ -380,3 +380,39 @@ class TestTaskDirs:
         (d / "meta.txt").write_text("task=regress\n")
         with pytest.raises(DataFormatError):
             load_task_dir(d)
+
+    def test_out_of_range_label_detected(self, tmp_path):
+        examples, n_classes = gen_order_task(seed=0, count=3, seq_len=4)
+        d = tmp_path / "cls"
+        save_task_dir(d, "classify", examples, meta={"classes": n_classes})
+        save_windows(os.path.join(d, "windows.tsv"), [("frames.txt", 0, 4, 0), ("frames.txt", 4, 4, 2)])
+        with pytest.raises(DataFormatError, match="windows.tsv"):
+            load_task_dir(d)
+
+    def test_multi_dimensional_frames_round_trip(self, tmp_path):
+        rng = np.random.default_rng(0)
+        examples = [LabeledSequence(rng.standard_normal((t, 2, 3, 4)), t % 2) for t in (2, 3, 1)]
+        d = tmp_path / "cls"
+        save_task_dir(d, "classify", examples, meta={"classes": 2})
+        assert load_kv(d / "meta.txt")["frame_shape"] == "2,3,4"
+        assert (d / "frames.txt").read_text().startswith("dims 24\n")
+        _, loaded, _ = load_task_dir(d)
+        for before, after in zip(examples, loaded):
+            np.testing.assert_array_equal(before.frames, after.frames)
+            assert before.label == after.label
+
+    def test_frame_shape_must_match_dims(self, tmp_path):
+        examples, n_classes = gen_order_task(seed=0, count=3, seq_len=4)
+        d = tmp_path / "cls"
+        save_task_dir(d, "classify", examples, meta={"classes": n_classes, "frame_shape": "1,2,2"})
+        with pytest.raises(DataFormatError, match="frame_shape"):
+            load_task_dir(d)
+
+
+class TestFeatureFinitePolicy:
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_values_are_rejected_with_their_line(self, tmp_path, literal):
+        path = tmp_path / "f.txt"
+        path.write_text(f"dims 2\n0.5 1.0\n1.5 {literal}\n")
+        with pytest.raises(DataFormatError, match="line 3"):
+            load_features(path)

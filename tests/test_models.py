@@ -370,3 +370,30 @@ def test_models_built_over_shared_components_keep_separate_vectors():
     assert np.max(np.abs(twin.params - m.params)) > 0
     for (name, old), (_, now) in zip(before, m.blocks()):
         np.testing.assert_array_equal(now, old, err_msg=name)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(hidden=0),
+    dict(embed_dim=0),
+    dict(extractor=make_extractor("linear", (4,), out_dim=0, rng=np.random.default_rng(0))),
+], ids=["hidden", "embed_dim", "extractor_out_dim"])
+def test_build_model_rejects_empty_sizes(bad):
+    kwargs = dict(rng=np.random.default_rng(0), hidden=4, extractor=IdentityExtractor((4,)),
+                  vocab=small_vocab(), embed_dim=3)
+    kwargs.update(bad)
+    with pytest.raises(ValueError, match="at least 1"):
+        build_model("caption", **kwargs)
+
+
+def test_factored_caption_models_have_exactly_two_layers_and_inject_at_the_second():
+    rng = np.random.default_rng(0)
+    m = build_model("caption", rng=rng, hidden=4, layers=2, extractor=IdentityExtractor((3,)),
+                    vocab=small_vocab(), embed_dim=5, factored=True)
+    assert m.inject_layer == 2
+    assert [c.n_input for c in m.cells] == [5, 4 + 3]
+    unfactored = build_model("caption", rng=rng, hidden=4, layers=2, extractor=IdentityExtractor((3,)),
+                             vocab=small_vocab(), embed_dim=5)
+    assert unfactored.inject_layer is None
+    with pytest.raises(TypeError):
+        build_model("caption", rng=rng, hidden=4, layers=2, extractor=IdentityExtractor((3,)),
+                    vocab=small_vocab(), embed_dim=5, factored=True, inject_layer=2)

@@ -311,3 +311,48 @@ class TestGradientCheck:
         worst = report.worst()
         assert worst is not None and not worst.ok
         assert "FAIL" in report.summary()
+
+    def test_a_non_finite_analytic_gradient_fails_its_block(self, monkeypatch):
+        true_loss = recseq.training.sequence_loss_and_grads
+
+        def poisoned(m, example, grads=None, scale=1.0, drop=None):
+            out = true_loss(m, example, grads, scale=scale, drop=drop)
+            if grads is not None:
+                dict(grads.blocks())["pred.b_z"][0] = np.nan
+            return out
+
+        monkeypatch.setattr(recseq.training, "sequence_loss_and_grads", poisoned)
+        m = build_demo_model("encode_decode", seed=0)
+        report = gradient_check(m, build_demo_batch("encode_decode", m, seed=0))
+        assert not report.passed
+        assert [b.name for b in report.blocks if not b.ok] == ["pred.b_z"]
+
+    def test_a_non_finite_numeric_probe_raises_and_restores_the_block(self, monkeypatch):
+        true_loss = recseq.training.sequence_loss_and_grads
+
+        def poisoned(m, example, grads=None, scale=1.0, drop=None):
+            nll, per_step = true_loss(m, example, grads, scale=scale, drop=drop)
+            return (nll, per_step) if grads is not None else (float("nan"), per_step)
+
+        monkeypatch.setattr(recseq.training, "sequence_loss_and_grads", poisoned)
+        m = build_demo_model("encode_decode", seed=0)
+        before = m.params.copy()
+        with pytest.raises(NumericError):
+            gradient_check(m, build_demo_batch("encode_decode", m, seed=0))
+        np.testing.assert_array_equal(m.params, before)
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("bad", [
+        dict(lr=float("nan")), dict(lr=float("inf")), dict(lr=-0.1),
+        dict(epochs=0), dict(epochs=-1), dict(batch_size=0),
+        dict(dropout=-0.1), dict(dropout=1.0),
+        dict(clip_norm=0.0), dict(clip_norm=float("nan")), dict(clip_len=0),
+    ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_rejected_when_built(self, bad):
+        field = next(iter(bad))
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**bad)
+
+    def test_boundary_values_are_legal(self):
+        TrainConfig(lr=0.0, epochs=1, batch_size=1, dropout=0.0, clip_norm=1e-12, clip_len=1)
