@@ -18,10 +18,13 @@ Internally each LSTM layer stores its weights as three stacked arrays
 [input, forget, output, candidate]; the per-gate matrices are exposed as
 views so a step costs two matrix products instead of eight.
 
-Backward passes consume caches produced by the forward passes. Caches hold
-the gate activations and the pre-tanh cell value, so nothing expensive is
-recomputed. Cells emit only hidden states; output layers live with the
-task models.
+One engine runs every recurrence, a single vector or a right-padded
+batch alike: per layer, the input product is one GEMM over all time-major
+steps and each step adds one recurrent GEMM. The single-step functions are
+one-step calls into it. Step caches are tuples of views into the layer's
+arrays (input, previous state, gate activations, cell value, dropout
+mask); backward walks the layers top down and their steps in reverse.
+Cells emit only hidden states; output layers live with the task models.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import NamedParams, as_f64, dropout_mask, sigmoid, tanh_act
+from .tensor_ops import NamedParams, as_f64, dropout_mask, sigmoid
 
 __all__ = [
     "GateActivations",
@@ -119,14 +122,7 @@ class LstmCellParams(NamedParams):
 
     def blocks(self):
         """Named per-gate parameter views, in gate-equation order."""
-        n = self.n_hidden
-        s = {"i": slice(0, n), "f": slice(n, 2 * n), "o": slice(2 * n, 3 * n), "c": slice(3 * n, 4 * n)}
-        out = []
-        for gate in ("i", "f", "o", "c"):
-            out.append((f"W_x{gate}", self.w_x[s[gate]]))
-            out.append((f"W_h{gate}", self.w_h[s[gate]]))
-            out.append((f"b_{gate}", self.b[s[gate]]))
-        return out
+        return [(name, getattr(self, name)) for g in "ifoc" for name in (f"W_x{g}", f"W_h{g}", f"b_{g}")]
 
     def _gate(self, which: int):
         n = self.n_hidden
@@ -192,40 +188,52 @@ class RnnCellParams(NamedParams):
         return RnnCellParams.zeros(self.n_hidden, self.n_input, self.nonlinearity)
 
 
-@dataclass(slots=True)
-class _LstmStepCache:
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    c: np.ndarray
-    mask: np.ndarray | None
-
-
-@dataclass(slots=True)
-class _RnnStepCache:
-    x: np.ndarray
-    h_prev: np.ndarray
-    h: np.ndarray
-    mask: np.ndarray | None
-
-
-def _lstm_step_full(p: LstmCellParams, x, h_prev, c_prev, mask=None):
-    """One LSTM step returning (h, c, cache). x is the pre-dropout input."""
-    if mask is not None:
-        x = x * mask
+def _lstm_cell(p: LstmCellParams, act, h_prev, c_prev):
+    """The LSTM step. ``act`` holds W_x x + b on entry and the gate
+    activations [i f o g] on return. Returns (h, c, act)."""
     n = p.n_hidden
-    pre = p.w_x @ x + p.w_h @ h_prev + p.b
-    i = sigmoid(pre[:n])
-    f = sigmoid(pre[n:2 * n])
-    o = sigmoid(pre[2 * n:3 * n])
-    g = tanh_act(pre[3 * n:])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c, _LstmStepCache(x, h_prev, c_prev, i, f, o, g, c, mask)
+    act += h_prev @ p.w_h.T
+    act[..., :3 * n] = sigmoid(act[..., :3 * n])
+    act[..., 3 * n:] = np.tanh(act[..., 3 * n:])
+    c = act[..., n:2 * n] * c_prev + act[..., :n] * act[..., 3 * n:]
+    return act[..., 2 * n:3 * n] * np.tanh(c), c, act
+
+
+def _layer_forward(cell, a, h0, c0, mask):
+    """Run one layer over time-major inputs ``a`` (T, ..., d) from (h0, c0).
+
+    The input product is one GEMM over every step; each step then adds one
+    recurrent product in place, so a step's slice of it ends up holding
+    that step's activations. Returns (hs, cs, step caches) with hs[0] = h0
+    and hs[t + 1] the state after step t; cs is None for a vanilla layer.
+    """
+    if mask is not None:
+        a = a * mask
+    w_x, _, b = (getattr(cell, name) for name in cell.PARAMS)
+    xw = (a.reshape(-1, a.shape[-1]) @ w_x.T + b).reshape(a.shape[:-1] + b.shape)
+    hs = np.empty((len(a) + 1,) + a.shape[1:-1] + (cell.n_hidden,))
+    hs[0] = h0
+    lstm = isinstance(cell, LstmCellParams)
+    cs = np.empty_like(hs) if lstm else None
+    if lstm:
+        cs[0] = c0
+    caches = []
+    for t in range(len(a)):
+        m_t = None if mask is None else mask[t]
+        if lstm:
+            hs[t + 1], cs[t + 1], act = _lstm_cell(cell, xw[t], hs[t], cs[t])
+            caches.append((a[t], hs[t], cs[t], act, cs[t + 1], m_t))
+        else:
+            xw[t] += hs[t] @ cell.W_hh.T
+            hs[t + 1] = np.tanh(xw[t]) if cell.nonlinearity == "tanh" else sigmoid(xw[t])
+            caches.append((a[t], hs[t], hs[t + 1], m_t))
+    return hs, cs, caches
+
+
+def _lstm_step_full(p: LstmCellParams, x, h_prev, c_prev):
+    """One LSTM step through the engine. Returns (h, c, step cache)."""
+    hs, cs, caches = _layer_forward(p, x[None], h_prev, c_prev, None)
+    return hs[1], cs[1], caches[0]
 
 
 def lstm_step(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
@@ -234,46 +242,50 @@ def lstm_step(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.n
     if x.shape != (p.n_input,):
         raise ValueError(f"lstm_step input shape {x.shape}, cell expects ({p.n_input},)")
     h, c, cache = _lstm_step_full(p, x, as_f64(h_prev), as_f64(c_prev))
-    return h, c, GateActivations(cache.i, cache.f, cache.o, cache.g)
+    return h, c, GateActivations(*np.split(cache[3], 4))
 
 
-def lstm_step_backward(p: LstmCellParams, cache: _LstmStepCache, dh: np.ndarray, dc: np.ndarray, grad_acc: LstmCellParams | None = None):
-    """Backward through one LSTM step.
+def _accumulate(p, grad_acc, d_pre, x, h_prev):
+    """Add one step's parameter gradients, summed over its batch rows."""
+    if grad_acc is None:
+        grad_acc = p.new_zeros()
+    g_x, g_h, g_b = (getattr(grad_acc, name) for name in p.PARAMS)
+    rows = d_pre.reshape(-1, d_pre.shape[-1])
+    g_x += rows.T @ x.reshape(len(rows), -1)
+    g_h += rows.T @ h_prev.reshape(len(rows), -1)
+    g_b += rows.sum(axis=0)
+    return grad_acc
+
+
+def lstm_step_backward(p: LstmCellParams, cache, dh: np.ndarray, dc: np.ndarray, grad_acc: LstmCellParams | None = None):
+    """Backward through one LSTM step, for one vector or a batch of rows.
 
     dh and dc are the loss gradients flowing into h_t and c_t. Gradients of
     the parameters are accumulated into grad_acc (allocated when None).
     Returns (dx, dh_prev, dc_prev, grad_acc); dx is with respect to the
     pre-dropout input when the forward step used a mask.
     """
-    if grad_acc is None:
-        grad_acc = p.new_zeros()
+    x, h_prev, c_prev, act, c, mask = cache
     n = p.n_hidden
-    i, f, o, g, c = cache.i, cache.f, cache.o, cache.g, cache.c
+    i, f, o, g = (act[..., k * n:(k + 1) * n] for k in range(4))
     tc = np.tanh(c)
-    do = dh * tc
     dc_total = dc + dh * o * (1.0 - tc * tc)
-    d_pre = np.empty(4 * n)
-    d_pre[:n] = (dc_total * g) * i * (1.0 - i)
-    d_pre[n:2 * n] = (dc_total * cache.c_prev) * f * (1.0 - f)
-    d_pre[2 * n:3 * n] = do * o * (1.0 - o)
-    d_pre[3 * n:] = (dc_total * i) * (1.0 - g * g)
-    grad_acc.w_x += np.outer(d_pre, cache.x)
-    grad_acc.w_h += np.outer(d_pre, cache.h_prev)
-    grad_acc.b += d_pre
-    dx = p.w_x.T @ d_pre
-    if cache.mask is not None:
-        dx = dx * cache.mask
-    dh_prev = p.w_h.T @ d_pre
-    dc_prev = dc_total * f
-    return dx, dh_prev, dc_prev, grad_acc
-
-
-def _rnn_step_full(p: RnnCellParams, x, h_prev, mask=None):
+    d_pre = np.empty_like(act)
+    d_pre[..., :n] = (dc_total * g) * i * (1.0 - i)
+    d_pre[..., n:2 * n] = (dc_total * c_prev) * f * (1.0 - f)
+    d_pre[..., 2 * n:3 * n] = (dh * tc) * o * (1.0 - o)
+    d_pre[..., 3 * n:] = (dc_total * i) * (1.0 - g * g)
+    grad_acc = _accumulate(p, grad_acc, d_pre, x, h_prev)
+    dx = d_pre @ p.w_x
     if mask is not None:
-        x = x * mask
-    pre = p.W_xh @ x + p.W_hh @ h_prev + p.b_h
-    h = tanh_act(pre) if p.nonlinearity == "tanh" else sigmoid(pre)
-    return h, _RnnStepCache(x, h_prev, h, mask)
+        dx = dx * mask
+    return dx, d_pre @ p.w_h, dc_total * f, grad_acc
+
+
+def _rnn_step_full(p: RnnCellParams, x, h_prev):
+    """One vanilla step through the engine. Returns (h, step cache)."""
+    hs, _, caches = _layer_forward(p, x[None], h_prev, None, None)
+    return hs[1], caches[0]
 
 
 def rnn_step(p: RnnCellParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
@@ -281,27 +293,21 @@ def rnn_step(p: RnnCellParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
     x = as_f64(x)
     if x.shape != (p.n_input,):
         raise ValueError(f"rnn_step input shape {x.shape}, cell expects ({p.n_input},)")
-    h, _ = _rnn_step_full(p, x, as_f64(h_prev))
-    return h
+    return _rnn_step_full(p, x, as_f64(h_prev))[0]
 
 
-def rnn_step_backward(p: RnnCellParams, cache: _RnnStepCache, dh: np.ndarray, grad_acc: RnnCellParams | None = None):
+def rnn_step_backward(p: RnnCellParams, cache, dh: np.ndarray, grad_acc: RnnCellParams | None = None):
     """Backward through one RNN step. Returns (dx, dh_prev, grad_acc)."""
-    if grad_acc is None:
-        grad_acc = p.new_zeros()
-    h = cache.h
+    x, h_prev, h, mask = cache
     if p.nonlinearity == "tanh":
         d_pre = dh * (1.0 - h * h)
     else:
         d_pre = dh * h * (1.0 - h)
-    grad_acc.W_xh += np.outer(d_pre, cache.x)
-    grad_acc.W_hh += np.outer(d_pre, cache.h_prev)
-    grad_acc.b_h += d_pre
-    dx = p.W_xh.T @ d_pre
-    if cache.mask is not None:
-        dx = dx * cache.mask
-    dh_prev = p.W_hh.T @ d_pre
-    return dx, dh_prev, grad_acc
+    grad_acc = _accumulate(p, grad_acc, d_pre, x, h_prev)
+    dx = d_pre @ p.W_xh
+    if mask is not None:
+        dx = dx * mask
+    return dx, d_pre @ p.W_hh, grad_acc
 
 
 class RecurrentState:
@@ -319,108 +325,91 @@ class RecurrentState:
         cs = [np.zeros(c.n_hidden) if isinstance(c, LstmCellParams) else None for c in cells]
         return cls(hs, cs)
 
-    def copy(self) -> "RecurrentState":
-        return RecurrentState(list(self.hs), list(self.cs))
 
+def _dropout_masks(cells, n_steps, lengths, drop):
+    """Inverted-dropout masks (T, B, d) for every layer input.
 
-def _unroll(cells, xs, initial=None, inject=None, inject_layer=None, drop=None):
-    """Run a stack of cells over a sequence of layer-1 inputs.
-
-    xs: list of input vectors, one per step.
-    inject/inject_layer: optional vector concatenated onto the input of one
-        layer (0-based index) at every step.
-    drop: optional (p, rng); a fresh inverted-dropout mask is drawn for every
-        layer input at every step.
-
-    Returns (hs, final_state, caches) where hs[layer][t] is that layer's
-    hidden vector at step t and caches feed :func:`_unroll_backward`.
+    Draws run example by example, then step by step, then layer by layer,
+    one mask per layer input; padded steps keep a zero mask.
     """
-    n_layers = len(cells)
-    if initial is None:
-        state = RecurrentState.zeros(cells)
-    else:
-        state = initial.copy()
-    hs = [[] for _ in range(n_layers)]
-    caches = []
-    for t, x in enumerate(xs):
-        step_caches = []
-        below = as_f64(x)
-        for layer, cell in enumerate(cells):
-            a = below
-            if inject_layer is not None and layer == inject_layer:
-                a = np.concatenate([a, inject])
-            if a.shape != (cell.n_input,):
-                raise ValueError(
-                    f"layer {layer} input has shape {a.shape} at step {t}, cell expects ({cell.n_input},)"
-                )
-            mask = None
-            if drop is not None and drop[0] > 0.0:
-                mask = dropout_mask(a.shape, drop[0], drop[1])
-            if isinstance(cell, LstmCellParams):
-                h, c, cache = _lstm_step_full(cell, a, state.hs[layer], state.cs[layer], mask)
-                state.cs[layer] = c
-            else:
-                h, cache = _rnn_step_full(cell, a, state.hs[layer], mask)
-            state.hs[layer] = h
-            hs[layer].append(h)
-            step_caches.append(cache)
-            below = h
-        caches.append(step_caches)
-    return hs, state, caches
+    p, rng = drop
+    dims = [c.n_input for c in cells]
+    masks = [np.zeros((n_steps, len(lengths), d)) for d in dims]
+    for b, n in enumerate(lengths):
+        drawn = dropout_mask((int(n), sum(dims)), p, rng)
+        for mask, part in zip(masks, np.split(drawn, np.cumsum(dims)[:-1], axis=1)):
+            mask[:n, b] = part
+    return masks
+
+
+def _unroll(cells, xs, initial=None, inject=None, inject_layer=None, drop=None, lengths=None):
+    """Run a stack of cells over time-major layer-1 inputs.
+
+    xs: (T, d) for one sequence (a list of vectors works too) or (T, B, d)
+        for a batch padded on the right.
+    inject/inject_layer: optional vector, one per sequence, concatenated
+        onto the input of one layer (0-based index) at every step.
+    drop: optional (p, rng) for a batch whose sequences run ``lengths``
+        steps; see :func:`_dropout_masks`.
+
+    Returns (hs, final_state, caches): hs[layer] is that layer's (T, ..., N)
+    hidden states and caches[t][layer] the step caches that feed
+    :func:`_unroll_backward`.
+    """
+    xs = as_f64(xs)
+    state = RecurrentState.zeros(cells) if initial is None else initial
+    masks = None if drop is None or drop[0] == 0.0 else _dropout_masks(cells, len(xs), lengths, drop)
+    hs, finals, by_layer = [], RecurrentState([], []), []
+    below = xs
+    for layer, cell in enumerate(cells):
+        if layer == inject_layer:
+            below = np.concatenate([below, np.broadcast_to(inject, below.shape[:-1] + inject.shape[-1:])], axis=-1)
+        if below.shape[-1] != cell.n_input:
+            raise ValueError(f"layer {layer} input has shape {below.shape[-1:]}, cell expects ({cell.n_input},)")
+        h_seq, c_seq, caches = _layer_forward(
+            cell, below, state.hs[layer], state.cs[layer], None if masks is None else masks[layer])
+        finals.hs.append(h_seq[-1])
+        finals.cs.append(None if c_seq is None else c_seq[-1])
+        by_layer.append(caches)
+        below = h_seq[1:]
+        hs.append(below)
+    return hs, finals, [list(step) for step in zip(*by_layer)]
 
 
 def _unroll_backward(cells, caches, d_top, d_final=None, inject_dim=0, inject_layer=None, grad_accs=None):
-    """Reverse-mode pass matching :func:`_unroll`.
+    """Reverse-mode pass matching :func:`_unroll`, one layer at a time.
 
-    d_top: per-step gradients flowing into the top layer's hidden vector
-        (entries may be None for steps that received no loss).
+    d_top: (T, ..., N) gradients flowing into the top layer's hidden states.
     d_final: optional RecurrentState gradient on the final state.
     grad_accs: optional per-layer parameter-gradient accumulators; fresh
         zero containers are allocated when omitted.
 
-    Returns (d_xs, d_inject, grads, d_initial). d_inject is None when no
-    vector was injected.
+    Returns (d_xs, d_inject, grads, d_initial); d_xs has the shape of the
+    layer-1 inputs and d_inject, summed over steps, is None when no vector
+    was injected.
     """
-    n_layers = len(cells)
-    n_steps = len(caches)
     grads = grad_accs if grad_accs is not None else [c.new_zeros() for c in cells]
-    if d_final is None:
-        dh_next = [np.zeros(c.n_hidden) for c in cells]
-        dc_next = [np.zeros(c.n_hidden) for c in cells]
-    else:
-        dh_next = [np.array(v, dtype=np.float64) for v in d_final.hs]
-        dc_next = [
-            np.zeros(c.n_hidden) if d_final.cs[l] is None else np.array(d_final.cs[l], dtype=np.float64)
-            for l, c in enumerate(cells)
-        ]
-    d_inject = np.zeros(inject_dim) if inject_layer is not None else None
-    d_xs = [None] * n_steps
-    for t in range(n_steps - 1, -1, -1):
-        dh_cur = [dh_next[l] for l in range(n_layers)]
-        if d_top[t] is not None:
-            dh_cur[n_layers - 1] = dh_cur[n_layers - 1] + d_top[t]
-        for layer in range(n_layers - 1, -1, -1):
-            cache = caches[t][layer]
-            cell = cells[layer]
-            if isinstance(cell, LstmCellParams):
-                dx, dh_prev, dc_prev, _ = lstm_step_backward(cell, cache, dh_cur[layer], dc_next[layer], grads[layer])
-                dc_next[layer] = dc_prev
+    d_above = as_f64(d_top)
+    d_initial = RecurrentState([], [])
+    d_inject = None
+    for layer in range(len(cells) - 1, -1, -1):
+        cell = cells[layer]
+        lstm = isinstance(cell, LstmCellParams)
+        dh = np.zeros(d_above.shape[1:-1] + (cell.n_hidden,)) if d_final is None else as_f64(d_final.hs[layer])
+        dc = np.zeros_like(dh) if d_final is None or d_final.cs[layer] is None else as_f64(d_final.cs[layer])
+        d_in = np.empty(d_above.shape[:-1] + (cell.n_input,))
+        for t in range(len(caches) - 1, -1, -1):
+            if lstm:
+                d_in[t], dh, dc, _ = lstm_step_backward(cell, caches[t][layer], d_above[t] + dh, dc, grads[layer])
             else:
-                dx, dh_prev, _ = rnn_step_backward(cell, cache, dh_cur[layer], grads[layer])
-            if inject_layer is not None and layer == inject_layer:
-                d_inject += dx[-inject_dim:]
-                dx = dx[:-inject_dim]
-            if layer > 0:
-                dh_cur[layer - 1] = dh_cur[layer - 1] + dx
-            else:
-                d_xs[t] = dx
-            dh_next[layer] = dh_prev
-        # dh_next now holds gradients into the step t-1 hidden states.
-    d_initial = RecurrentState(
-        dh_next,
-        [dc_next[l] if isinstance(c, LstmCellParams) else None for l, c in enumerate(cells)],
-    )
-    return d_xs, d_inject, grads, d_initial
+                d_in[t], dh, _ = rnn_step_backward(cell, caches[t][layer], d_above[t] + dh, grads[layer])
+        d_initial.hs.insert(0, dh)
+        d_initial.cs.insert(0, dc if lstm else None)
+        if layer == inject_layer:
+            d_inject = d_in[..., -inject_dim:].sum(axis=0)
+            d_in = d_in[..., :-inject_dim]
+        d_above = d_in
+    return d_above, d_inject, grads, d_initial
 
 
 def stack_forward(layers, xs, initial: RecurrentState | None = None):
@@ -435,8 +424,10 @@ def stack_forward(layers, xs, initial: RecurrentState | None = None):
 def stack_backward(layers, caches, d_top, d_final: RecurrentState | None = None):
     """Backward through :func:`stack_forward`.
 
-    d_top holds per-step gradients on the top layer's hidden vectors.
-    Returns (d_xs, grads, d_initial).
+    d_top holds per-step gradients on the top layer's hidden vectors (None
+    for a step without one). Returns (d_xs, grads, d_initial).
     """
+    n = layers[-1].n_hidden
+    d_top = [np.zeros(n) if d is None else d for d in d_top]
     d_xs, _, grads, d_initial = _unroll_backward(layers, caches, d_top, d_final)
-    return d_xs, grads, d_initial
+    return list(d_xs), grads, d_initial

@@ -85,6 +85,8 @@ class SeqPair:
 
 def example_tuple(ex):
     """The (input, target) pair consumed by the loss functions."""
+    if isinstance(ex, tuple):
+        return ex
     if isinstance(ex, LabeledSequence):
         return ex.frames, ex.label
     if isinstance(ex, CaptionPair):
@@ -144,6 +146,11 @@ class SequenceBatch:
         if self.target_lengths is None:
             return x, int(self.targets[b])
         return x, tuple(int(t) for t in self.targets[b, : self.target_lengths[b]])
+
+    def __getitem__(self, rows):
+        """The examples ``rows`` (a slice) as a batch keeping this one's padding."""
+        cut = [None if a is None else a[rows] for a in (self.input_lengths, self.target_lengths)]
+        return SequenceBatch(self.task, self.inputs[rows], self.targets[rows], *cut)
 
     def __len__(self):
         return self.size
@@ -312,15 +319,23 @@ def save_tokens(path, sequences):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _lines(path):
+    """(1-based number, line) of each line of a UTF-8 text file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"not UTF-8 text ({exc.reason})", path=path) from None
+
+
 def load_tokens(path):
     """Read a token corpus. Returns a list of token-string lists."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                raise DataFormatError("empty sequence", path=path, line=lineno)
-            out.append(line.split(" "))
+    for lineno, line in _lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            raise DataFormatError("empty sequence", path=path, line=lineno)
+        out.append(line.split(" "))
     return out
 
 
@@ -339,26 +354,26 @@ def save_features(path, array):
 
 
 def load_features(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        parts = header.split()
-        if len(parts) != 2 or parts[0] != "dims":
-            raise DataFormatError(f"expected 'dims d' header, got {header!r}", path=path, line=1)
+    lines = _lines(path)
+    header = next(lines, (1, ""))[1].rstrip("\n")
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "dims":
+        raise DataFormatError(f"expected 'dims d' header, got {header!r}", path=path, line=1)
+    try:
+        dim = int(parts[1])
+    except ValueError:
+        raise DataFormatError(f"bad dimension {parts[1]!r}", path=path, line=1) from None
+    if dim < 1:
+        raise DataFormatError(f"bad dimension {dim}", path=path, line=1)
+    rows = []
+    for lineno, line in lines:
+        fields = line.split()
+        if len(fields) != dim:
+            raise DataFormatError(f"expected {dim} values, found {len(fields)}", path=path, line=lineno)
         try:
-            dim = int(parts[1])
+            rows.append([float(v) for v in fields])
         except ValueError:
-            raise DataFormatError(f"bad dimension {parts[1]!r}", path=path, line=1) from None
-        if dim < 1:
-            raise DataFormatError(f"bad dimension {dim}", path=path, line=1)
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.split()
-            if len(fields) != dim:
-                raise DataFormatError(f"expected {dim} values, found {len(fields)}", path=path, line=lineno)
-            try:
-                rows.append([float(v) for v in fields])
-            except ValueError:
-                raise DataFormatError("unparseable float", path=path, line=lineno) from None
+            raise DataFormatError("unparseable float", path=path, line=lineno) from None
     out = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
@@ -374,15 +389,14 @@ def save_pairs(path, pairs):
 
 def load_pairs(path):
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise DataFormatError(f"expected 2 tab-separated fields, found {len(fields)}", path=path, line=lineno)
-            try:
-                out.append((int(fields[0]), int(fields[1])))
-            except ValueError:
-                raise DataFormatError("unparseable index", path=path, line=lineno) from None
+    for lineno, line in _lines(path):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 2:
+            raise DataFormatError(f"expected 2 tab-separated fields, found {len(fields)}", path=path, line=lineno)
+        try:
+            out.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise DataFormatError("unparseable index", path=path, line=lineno) from None
     return out
 
 
@@ -394,21 +408,20 @@ def save_windows(path, rows):
 
 def load_windows(path):
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                raise DataFormatError(f"expected 4 tab-separated fields, found {len(fields)}", path=path, line=lineno)
-            name = fields[0]
-            try:
-                start, length, label = int(fields[1]), int(fields[2]), int(fields[3])
-            except ValueError:
-                raise DataFormatError("unparseable integer field", path=path, line=lineno) from None
-            if not name:
-                raise DataFormatError("empty feature file name", path=path, line=lineno)
-            if start < 0 or length < 1:
-                raise DataFormatError(f"bad window [{start}, {start + length})", path=path, line=lineno)
-            out.append((name, start, length, label))
+    for lineno, line in _lines(path):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 4:
+            raise DataFormatError(f"expected 4 tab-separated fields, found {len(fields)}", path=path, line=lineno)
+        name = fields[0]
+        try:
+            start, length, label = int(fields[1]), int(fields[2]), int(fields[3])
+        except ValueError:
+            raise DataFormatError("unparseable integer field", path=path, line=lineno) from None
+        if not name:
+            raise DataFormatError("empty feature file name", path=path, line=lineno)
+        if start < 0 or length < 1:
+            raise DataFormatError(f"bad window [{start}, {start + length})", path=path, line=lineno)
+        out.append((name, start, length, label))
     return out
 
 
@@ -450,8 +463,7 @@ def parse_kv(text, path=None):
 
 
 def load_kv(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_kv(fh.read(), path=path)
+    return parse_kv("".join(line for _, line in _lines(path)), path=path)
 
 
 # ---------------------------------------------------------------------------

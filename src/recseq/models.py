@@ -27,16 +27,16 @@ use the order [embedded token, visual vector].
 
 Training-time losses are teacher forced: the gold previous token is fed at
 every step regardless of what the model would have predicted. Every task
-compiles an example into one plan (layer-1 inputs, injected vector, first
-emitting step, targets, input-gradient scatter) that a single loss body
-runs. A model's parameters are one float64 vector; the named blocks are
-views of it.
+compiles a minibatch into one time-major plan (layer-1 inputs padded on the
+right, injected vectors, targets with -1 where nothing is emitted, previous
+tokens, extractor scatter) that a single loss body runs through the
+recurrence engine. A model's parameters are one float64 vector; the named
+blocks are views of it.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,6 +71,11 @@ UNK_TOKEN = "<unk>"
 
 TASKS = ("classify", "caption", "encode_decode", "perstep_decode")
 SIMPLEX_TOL = 1e-6
+# Sequences per engine pass and logits per block of emitting steps in the
+# batched loss: together they keep its working memory within a few MB
+# whatever the batch size and vocabulary.
+_GROUP = 16
+_LOGIT_BLOCK = 2 ** 15
 
 
 class Vocabulary:
@@ -461,24 +466,6 @@ def _check_encoder_inputs(m: ModelSpec, inputs) -> np.ndarray:
     return inputs
 
 
-def _encoder_inputs(m: ModelSpec, inputs):
-    """Layer-1 inputs of the encoder steps of the shared recurrence.
-
-    Every step sees [token slot, input slot]. Encoder steps carry an input
-    vector and a zero token slot; all inputs but the last are consumed here.
-    """
-    zero_e = np.zeros(m.embedding.dim)
-    return [np.concatenate([zero_e, x]) for x in inputs[:-1]]
-
-
-def _decoder_input(m: ModelSpec, inputs, prev_token: int, j: int) -> np.ndarray:
-    """Layer-1 input of decoder step ``j``: the embedded previous token and a
-    zero input slot, except at the boundary step (j == 0), which still
-    carries the final input vector."""
-    x_slot = inputs[-1] if j == 0 else np.zeros(m.input_dim)
-    return np.concatenate([m.embedding.W_e[:, prev_token], x_slot])
-
-
 def _decode_step(m: ModelSpec, visual: np.ndarray, prev_token: int, state: RecurrentState):
     """Shared single step for caption and per-step decode wiring."""
     _check_token(m, prev_token)
@@ -507,34 +494,18 @@ def perstep_decode_step(m: ModelSpec, visual_vec: np.ndarray, prev_token: int, s
     return softmax(logits), new_state
 
 
-def _require_eos_terminated(m: ModelSpec, tokens):
-    tokens = [int(t) for t in tokens]
-    if not tokens:
-        raise ValueError("token sequence is empty")
-    for t in tokens:
-        _check_token(m, t)
-    if tokens[-1] != m.vocab.eos:
-        raise ValueError("token sequence must end with the EOS token")
-    return tokens
-
-
-def _teacher_inputs(m: ModelSpec, tokens):
-    """Previous-token ids under teacher forcing: BOS then the gold prefix."""
-    return [m.vocab.bos] + tokens[:-1]
-
-
 def caption_log_likelihood(m: ModelSpec, img_feat: np.ndarray, tokens) -> float:
     """Teacher-forced log likelihood of a caption (ending in EOS)."""
     if m.task not in ("caption", "perstep_decode"):
         raise ValueError(f"caption_log_likelihood called on a {m.task} model")
     v = _check_visual(m, img_feat)
-    tokens = _require_eos_terminated(m, tokens)
-    us, inject, inject_layer = _token_inputs(m, v, _teacher_inputs(m, tokens))
+    tokens = [int(t) for t in tokens]
+    _check_tokens(m, np.array(tokens, dtype=np.int64).reshape(1, -1), np.array([len(tokens)]))
+    # Teacher forcing: BOS, then the gold prefix.
+    us, inject, inject_layer = _token_inputs(m, v, [m.vocab.bos] + tokens[:-1])
     hs, _, _ = _unroll(m.cells, us, inject=inject, inject_layer=inject_layer)
-    total = 0.0
-    for t, target in enumerate(tokens):
-        total += float(log_softmax(_logits(m, hs[-1][t]))[target])
-    return total
+    lp = log_softmax(hs[-1] @ m.prediction.W_z.T + m.prediction.b_z)
+    return sum(lp[np.arange(len(tokens)), tokens].tolist())
 
 
 def classify_sequence(m: ModelSpec, frames) -> np.ndarray:
@@ -546,8 +517,7 @@ def classify_sequence(m: ModelSpec, frames) -> np.ndarray:
         raise ValueError("classify_sequence needs at least one frame")
     feats = [phi_forward(m.extractor, fr)[0] for fr in frames]
     hs, _, _ = _unroll(m.cells, feats)
-    dists = [softmax(_logits(m, h)) for h in hs[-1]]
-    return np.mean(dists, axis=0)
+    return softmax(hs[-1] @ m.prediction.W_z.T + m.prediction.b_z).mean(axis=0)
 
 
 def encode_decode(m: ModelSpec, inputs, max_out_len: int):
@@ -597,15 +567,17 @@ def make_stepper(m: ModelSpec, features):
 
     if m.task == "encode_decode":
         inputs = _check_encoder_inputs(m, features)
-        enc_us = _encoder_inputs(m, inputs)
-        if enc_us:
-            _, enc_state, _ = _unroll(m.cells, enc_us)
-        else:
-            enc_state = initial_state(m)
+        # Encoder steps: a zero token slot and every input but the last.
+        enc = np.concatenate([np.zeros((len(inputs) - 1, m.embedding.dim)), inputs[:-1]], axis=1)
+        _, enc_state, _ = _unroll(m.cells, enc)
 
         def step(state, prev_token, t):
             _check_token(m, prev_token)
-            hs, new_state, _ = _unroll(m.cells, [_decoder_input(m, inputs, prev_token, t)], initial=state)
+            # The embedded previous token and a zero input slot, except at the
+            # boundary step (t == 0), which still carries the final input.
+            x_slot = inputs[-1] if t == 0 else np.zeros(m.input_dim)
+            u = np.concatenate([m.embedding.W_e[:, prev_token], x_slot])
+            hs, new_state, _ = _unroll(m.cells, [u], initial=state)
             return log_softmax(_logits(m, hs[-1][0])), new_state
 
         return enc_state, step
@@ -613,132 +585,157 @@ def make_stepper(m: ModelSpec, features):
     raise ValueError(f"{m.task} models do not emit token sequences")
 
 
-def _emit_losses(m: ModelSpec, tops, emit_steps, targets, want_grads, scale):
-    """Cross entropy at the emitting steps.
+def _check_tokens(m: ModelSpec, tokens: np.ndarray, lengths: np.ndarray):
+    """Each padded row of ``tokens`` is non-empty, in the vocabulary and ends with EOS."""
+    if lengths.min() < 1:
+        raise ValueError("token sequence is empty")
+    used = tokens[np.arange(tokens.shape[1]) < lengths[:, None]]
+    bad = (used < 0) | (used >= m.vocab.size)
+    if bad.any():
+        raise ValueError(f"token id {used[bad][0]} out of range for vocabulary of {m.vocab.size}")
+    if (tokens[np.arange(len(tokens)), lengths - 1] != m.vocab.eos).any():
+        raise ValueError("token sequence must end with the EOS token")
 
-    Returns (total nll, per-emission nll list, scaled dlogits by step).
+
+def _batch_plan(m: ModelSpec, batch):
+    """Compile a SequenceBatch into one time-major teacher-forced unroll.
+
+    Returns (xs, inject, targets, prev, phi, steps):
+      xs       (T, B, d) layer-1 inputs; example b runs ``steps[b]`` steps
+               and is padded on the right after them;
+      inject   (B, v) vectors concatenated onto layer 2's input of a
+               factored model, else None;
+      targets  (T, B) class or token ids, -1 where a step emits nothing;
+      prev     (T, B) token whose embedding fills the leading slot of a
+               step's input, -1 for none (None for classification);
+      phi      (cache, t, b) per extractor call: its output was the whole
+               input of step t of example b or, for t None, example b's
+               visual vector (injected, else the trailing slot of every step).
     """
-    total = 0.0
-    per_step = []
-    dlogits = {}
-    for j, t in enumerate(emit_steps):
-        lp = log_softmax(_logits(m, tops[t]))
-        target = targets[j]
-        nll = -float(lp[target])
-        total += nll
-        per_step.append(nll)
-        if want_grads:
-            dl = np.exp(lp)
-            dl[target] -= 1.0
-            dlogits[t] = dl * scale
-    return total, per_step, dlogits
-
-
-def _prediction_backward(m: ModelSpec, tops, dlogits, n_steps, grads):
-    """Accumulate output-layer gradients; return per-step gradients on h."""
-    d_top = [None] * n_steps
-    for t, dl in dlogits.items():
-        grads.prediction.W_z += np.outer(dl, tops[t])
-        grads.prediction.b_z += dl
-        d_top[t] = m.prediction.W_z.T @ dl
-    return d_top
-
-
-@dataclass
-class _Plan:
-    """One example compiled into a single teacher-forced unroll.
-
-    Step t reads ``us[t]``, plus ``inject`` at layer ``inject_layer`` when
-    set; the steps from ``first`` on emit ``targets``. Backward, the leading
-    embedding slot of step ``first + j`` scatters into the embedding column
-    of ``prev[j]``, and each ``(cache, t)`` in ``phi`` is an extractor call
-    whose output was the whole input of step t or, for t None, the visual
-    vector: the injected one, else the trailing slot of every step.
-    """
-
-    us: list
-    inject: np.ndarray | None
-    inject_layer: int | None
-    first: int
-    targets: list
-    prev: list
-    phi: list
-
-
-def _plan(m: ModelSpec, example) -> _Plan:
-    x, y = example
+    B = len(batch)
     if m.task == "classify":
-        frames = as_f64(x)
-        if len(frames) == 0:
+        steps, labels = batch.input_lengths, batch.targets
+        if steps.min() < 1:
             raise ValueError("classification example has no frames")
-        if not 0 <= int(y) < m.prediction.n_out:
-            raise ValueError(f"label {y} out of range for {m.prediction.n_out} classes")
-        feats, phi = [], []
-        for t, fr in enumerate(frames):
-            v, cache = phi_forward(m.extractor, fr)
-            feats.append(v)
-            phi.append((cache, t))
-        return _Plan(feats, None, None, 0, [int(y)] * len(feats), [], phi)
-    if m.task == "encode_decode":
-        inputs = _check_encoder_inputs(m, x)
-        targets = _require_eos_terminated(m, y)
-        prev = _teacher_inputs(m, targets)
-        us = _encoder_inputs(m, inputs) + [_decoder_input(m, inputs, p, j) for j, p in enumerate(prev)]
-        return _Plan(us, None, None, len(inputs) - 1, targets, prev, [])
-    if m.task == "caption":
-        tokens = _require_eos_terminated(m, y)
-        v, cache = phi_forward(m.extractor, as_f64(x))
-        phi = [(cache, None)]
-    else:
-        v = _check_visual(m, x)
-        tokens = _require_eos_terminated(m, y)
+        bad = (labels < 0) | (labels >= m.prediction.n_out)
+        if bad.any():
+            raise ValueError(f"label {labels[bad][0]} out of range for {m.prediction.n_out} classes")
+        xs = np.zeros((steps.max(), B, m.extractor.out_dim))
         phi = []
-    prev = _teacher_inputs(m, tokens)
-    us, inject, inject_layer = _token_inputs(m, v, prev)
-    return _Plan(us, inject, inject_layer, 0, tokens, prev, phi)
+        for b, n in enumerate(steps):
+            for t in range(n):
+                xs[t, b], cache = phi_forward(m.extractor, batch.inputs[b, t])
+                phi.append((cache, t, b))
+        return xs, None, np.where(np.arange(len(xs))[:, None] < steps, labels, -1), None, phi, steps
+
+    tokens, lengths = batch.targets, batch.target_lengths
+    _check_tokens(m, tokens, lengths)
+    first = np.zeros(B, dtype=np.int64)
+    if m.task == "encode_decode":
+        if batch.input_lengths.min() < 1 or batch.inputs.shape[2] != m.input_dim:
+            raise ValueError(f"encoder inputs must be non-empty (T, {m.input_dim}) arrays")
+        first = batch.input_lengths - 1
+    steps = first + lengths
+    b_idx, j_idx = np.nonzero(np.arange(tokens.shape[1]) < lengths[:, None])
+    t_idx = first[b_idx] + j_idx
+    targets = np.full((steps.max(), B), -1)
+    targets[t_idx, b_idx] = tokens[b_idx, j_idx]
+    prev = np.full_like(targets, -1)
+    prev[t_idx, b_idx] = np.where(j_idx == 0, m.vocab.bos, tokens[b_idx, j_idx - 1])
+
+    d_e = m.embedding.dim
+    inject, phi = None, []
+    if m.task == "encode_decode":
+        # Inputs are zero-padded: the slot is empty after each example's last input.
+        xs = np.zeros((len(targets), B, d_e + m.input_dim))
+        n_in = batch.input_lengths.max()
+        xs[:n_in, :, d_e:] = batch.inputs[:, :n_in].swapaxes(0, 1)
+    else:
+        if m.task == "caption":
+            outs = [phi_forward(m.extractor, x) for x in batch.inputs]
+            visual = np.array([v for v, _ in outs])
+            phi = [(cache, None, b) for b, (_, cache) in enumerate(outs)]
+        else:
+            visual = np.array([_check_visual(m, v) for v in batch.inputs])
+        if m.factored:
+            inject = visual
+            xs = np.zeros((len(targets), B, d_e))
+        else:
+            xs = np.zeros((len(targets), B, d_e + visual.shape[1]))
+            xs[..., d_e:] = visual
+    t_e, b_e = np.nonzero(prev >= 0)
+    xs[t_e, b_e, :d_e] = m.embedding.W_e.T[prev[t_e, b_e]]
+    return xs, inject, targets, prev, phi, steps
 
 
 def sequence_loss_and_grads(m: ModelSpec, example, grads: ModelGrads | None = None, scale: float = 1.0, drop=None):
-    """Negative log likelihood of one example, optionally with gradients.
+    """Negative log likelihood of a batch or of one example, optionally with gradients.
 
-    ``example`` is task dependent:
+    ``example`` is a SequenceBatch or one task-dependent example:
       classify:        (frames, label)
       caption:         (image, tokens)
       encode_decode:   (inputs, target tokens)
       perstep_decode:  (visual vector, tokens)
 
-    When ``grads`` is given, parameter gradients scaled by ``scale`` are
-    accumulated into it. ``drop`` is an optional (p, rng) pair applied to
-    every recurrent layer input during the forward pass.
+    A batch runs as one right-padded time-major unroll per group of at most
+    ``_GROUP`` sequences, with the output layer and log-softmax over blocks
+    of emitting steps, which bounds the working memory. When ``grads``
+    is given, parameter gradients scaled by ``scale`` are accumulated into
+    it. ``drop`` is an optional (p, rng) pair applied to every recurrent
+    layer input during the forward pass.
 
-    Returns (nll, per-step nll list). The loss sums -log P over all
-    predicted positions of the sequence.
+    Returns (nll, per-step nlls). For one example: -log P summed over its
+    predicted positions, and the list of per-position terms. For a batch:
+    the sum over its examples, and one such list per example.
     """
-    plan = _plan(m, example)
-    hs, _, caches = _unroll(m.cells, plan.us, inject=plan.inject, inject_layer=plan.inject_layer, drop=drop)
-    tops = hs[-1]
-    n_steps = len(tops)
-    total, per_step, dlogits = _emit_losses(m, tops, range(plan.first, n_steps), plan.targets, grads is not None, scale)
-    if grads is None:
-        return total, per_step
-    d_top = _prediction_backward(m, tops, dlogits, n_steps, grads)
-    d_us, d_inject, _, _ = _unroll_backward(
-        m.cells, caches, d_top,
-        inject_dim=0 if plan.inject is None else plan.inject.size,
-        inject_layer=plan.inject_layer,
-        grad_accs=grads.cells,
-    )
-    d_e = 0 if m.embedding is None else m.embedding.dim
-    for j, p in enumerate(plan.prev):
-        grads.embedding.W_e[:, p] += d_us[plan.first + j][:d_e]
-    for cache, t in plan.phi:
-        if t is not None:
-            dv = d_us[t]
-        elif d_inject is not None:
-            dv = d_inject
-        else:
-            dv = np.zeros(m.visual_dim)
-            for d in d_us:
-                dv += d[d_e:]
-        grads.add_extractor(phi_backward(m.extractor, cache, dv)[1])
-    return total, per_step
+    from .data import SequenceBatch  # deferred: data imports this module
+
+    batch = example if isinstance(example, SequenceBatch) else SequenceBatch.from_examples(m.task, [example])
+    if len(batch) > _GROUP:
+        parts = [sequence_loss_and_grads(m, batch[lo:lo + _GROUP], grads, scale, drop)
+                 for lo in range(0, len(batch), _GROUP)]
+        per_step = [steps for _, part in parts for steps in part]
+        return sum(sum(steps) for steps in per_step), per_step
+    xs, inject, targets, prev, phi, steps = _batch_plan(m, batch)
+    inject_layer = None if inject is None else m.inject_layer - 1
+    hs, _, caches = _unroll(m.cells, xs, inject=inject, inject_layer=inject_layer, drop=drop, lengths=steps)
+    # Emitting steps example by example, each example's in step order.
+    b_idx, t_idx = np.nonzero(targets.T >= 0)
+    top, tgt = hs[-1][t_idx, b_idx], targets[t_idx, b_idx]
+    nlls, d_top = np.empty(len(tgt)), np.zeros_like(hs[-1])
+    W_z, span = m.prediction.W_z, max(1, _LOGIT_BLOCK // m.prediction.n_out)
+    for lo in range(0, len(tgt), span):
+        rows = slice(lo, lo + span)
+        lp = log_softmax(top[rows] @ W_z.T + m.prediction.b_z)
+        picked = np.arange(len(lp)), tgt[rows]
+        nlls[rows] = -lp[picked]
+        if grads is not None:
+            dl = np.exp(lp)
+            dl[picked] -= 1.0
+            dl *= scale
+            grads.prediction.W_z += dl.T @ top[rows]
+            grads.prediction.b_z += dl.sum(axis=0)
+            d_top[t_idx[rows], b_idx[rows]] = dl @ W_z
+    ends = np.cumsum(np.bincount(b_idx, minlength=len(batch)))[:-1]
+    per_step = [part.tolist() for part in np.split(nlls, ends)]
+    nll = sum(sum(part) for part in per_step)
+    if grads is not None:
+        d_xs, d_inject, _, _ = _unroll_backward(
+            m.cells, caches, d_top,
+            inject_dim=0 if inject is None else inject.shape[1],
+            inject_layer=inject_layer,
+            grad_accs=grads.cells,
+        )
+        d_e = 0 if m.embedding is None else m.embedding.dim
+        if prev is not None:
+            t_e, b_e = np.nonzero(prev >= 0)
+            np.add.at(grads.embedding.W_e.T, prev[t_e, b_e], d_xs[t_e, b_e, :d_e])
+        for cache, t, b in phi:
+            if t is not None:
+                dv = d_xs[t, b]
+            elif d_inject is not None:
+                dv = d_inject[b]
+            else:
+                dv = d_xs[:, b, d_e:].sum(axis=0)
+            grads.add_extractor(phi_backward(m.extractor, cache, dv)[1])
+    return (nll, per_step) if batch is example else (nll, per_step[0])

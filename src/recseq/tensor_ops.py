@@ -64,12 +64,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-x)), stable for large |x|."""
     x = as_f64(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def tanh_act(x: np.ndarray) -> np.ndarray:

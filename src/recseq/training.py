@@ -23,9 +23,8 @@ import numpy as np
 
 from .data import CaptionPair, LabeledSequence, SeqPair, SequenceBatch
 from .errors import NumericError
-from .models import ModelGrads, ModelSpec, build_model, sequence_loss_and_grads
 from .features import make_extractor
-from .models import Vocabulary
+from .models import ModelGrads, ModelSpec, Vocabulary, build_model, sequence_loss_and_grads
 from .tensor_ops import apply_dropout, dropout_mask, finite_diff_grad  # dropout helpers are re-exported
 
 __all__ = [
@@ -106,6 +105,14 @@ class LossReport:
     def add_sequence(self, nll: float, per_step):
         self.merge(LossReport(1, len(per_step), nll, list(per_step), [1] * len(per_step)))
 
+    @classmethod
+    def of_batch(cls, nll: float, per_step) -> "LossReport":
+        """A batch's report from its total NLL and each sequence's per-step NLLs."""
+        report = cls(total_nll=nll)
+        for steps in per_step:
+            report.add_sequence(0.0, steps)
+        return report
+
     def merge(self, other: "LossReport"):
         self.n_sequences += other.n_sequences
         self.n_targets += other.n_targets
@@ -121,11 +128,7 @@ class LossReport:
 
 def sequence_nll(m: ModelSpec, batch: SequenceBatch) -> LossReport:
     """Teacher-forced NLL of a batch, without gradients or dropout."""
-    report = LossReport()
-    for b in range(len(batch)):
-        nll, per_step = sequence_loss_and_grads(m, batch.example(b))
-        report.add_sequence(nll, per_step)
-    return report
+    return LossReport.of_batch(*sequence_loss_and_grads(m, batch))
 
 
 def _sgd_step(m: ModelSpec, batch: SequenceBatch, cfg: TrainConfig, rng) -> LossReport:
@@ -134,14 +137,11 @@ def _sgd_step(m: ModelSpec, batch: SequenceBatch, cfg: TrainConfig, rng) -> Loss
         if unknown:
             raise ValueError(f"frozen names that are not parameter blocks of this model: {unknown}")
     grads = ModelGrads(m)
-    report = LossReport()
-    scale = 1.0 / len(batch)
     drop = (cfg.dropout, rng) if cfg.dropout > 0.0 else None
-    for b in range(len(batch)):
-        nll, per_step = sequence_loss_and_grads(m, batch.example(b), grads, scale=scale, drop=drop)
-        if not np.isfinite(nll):
-            raise NumericError(f"non-finite loss on sequence {b} of the batch")
-        report.add_sequence(nll, per_step)
+    nll, per_step = sequence_loss_and_grads(m, batch, grads, scale=1.0 / len(batch), drop=drop)
+    if not np.isfinite(nll):
+        bad = [b for b, steps in enumerate(per_step) if not np.isfinite(sum(steps))]
+        raise NumericError(f"non-finite loss on sequences {bad} of the batch")
     if cfg.frozen:
         # Assignment, not a multiplying mask: nan * 0.0 stays nan.
         frozen = set(cfg.frozen)
@@ -155,8 +155,12 @@ def _sgd_step(m: ModelSpec, batch: SequenceBatch, cfg: TrainConfig, rng) -> Loss
         norm = grads.global_norm()
         if norm > cfg.clip_norm:
             grads.params *= cfg.clip_norm / norm
-    m.params -= cfg.lr * grads.params
-    return report
+    with np.errstate(over="ignore", invalid="ignore"):
+        update = cfg.lr * grads.params
+    if not np.isfinite(update).all():
+        raise NumericError(f"the update lr * gradient overflows at lr {cfg.lr!r}")
+    m.params -= update
+    return LossReport.of_batch(nll, per_step)
 
 
 def train_epoch(m: ModelSpec, batches, cfg: TrainConfig, rng=None):
@@ -254,9 +258,7 @@ def gradient_check(m: ModelSpec, batch: SequenceBatch, eps: float = 1e-5, tol: f
     fails, and a non-finite numeric probe raises NumericError.
     """
     grads = ModelGrads(m)
-    scale = 1.0 / len(batch)
-    for b in range(len(batch)):
-        sequence_loss_and_grads(m, batch.example(b), grads, scale=scale)
+    sequence_loss_and_grads(m, batch, grads, scale=1.0 / len(batch))
     analytic = dict(grads.blocks())
     checks = []
     for name, arr in m.blocks():

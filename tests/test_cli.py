@@ -138,6 +138,15 @@ def _overflowing_update(tmp_path, capsys):
     return ["train", "--data", str(d), "--out", str(tmp_path / "m.ckpt"), "--epochs", "1", "--lr", "1e308"]
 
 
+def _copy_targets_not_utf8(tmp_path, capsys):
+    d = tmp_path / "copy"
+    code, _, err = run(capsys, "synth", "--task", "copy", "--out", str(d), "--count", "4", "--seq-len", "2")
+    assert code == 0, err
+    with open(d / "targets.txt", "ab") as fh:
+        fh.write(b"\xff\xfe")
+    return ["train", "--data", str(d), "--out", str(tmp_path / "m.ckpt"), "--hidden", "3", "--epochs", "1"]
+
+
 # (case, function returning the argv, documented exit code)
 BAD_INVOCATIONS = [
     ("lr_nan", lambda t, c: _train_order(t, c, "--lr", "nan"), 1),
@@ -157,6 +166,7 @@ BAD_INVOCATIONS = [
     ("no_windows", lambda t, c: _train_order(t, c, edit=lambda d: (d / "windows.tsv").write_text("")), 2),
     ("classes_not_a_number", lambda t, c: _train_order(
         t, c, edit=lambda d: _edit_text(d / "meta.txt", "classes=2", "classes=two")), 2),
+    ("targets_not_utf8", _copy_targets_not_utf8, 2),
     ("nan_in_feature_file", lambda t, c: _train_order(
         t, c, edit=lambda d: _edit_text(d / "frames.txt", "\n0.0 ", "\nnan ")), 2),
     ("frame_shape_mismatch", lambda t, c: _train_order(

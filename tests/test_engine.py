@@ -1,0 +1,124 @@
+"""The batched recurrence engine against per-example runs of the same loss.
+
+A batch runs as one right-padded, time-major unroll. These tests pin what
+that must not change: every example's loss and gradient contribution, the
+independence of examples from the padding a longer neighbour adds, and the
+order and count of dropout draws.
+"""
+
+import numpy as np
+import pytest
+
+from recseq.data import CaptionPair, LabeledSequence, SeqPair, SequenceBatch, example_tuple
+import recseq.models
+from recseq.models import ModelGrads, sequence_loss_and_grads
+from recseq.training import GRADCHECK_TOPOLOGIES, TrainConfig, _sgd_step, build_demo_batch, build_demo_model
+
+CASES = [(topology, cell) for topology in GRADCHECK_TOPOLOGIES for cell in ("lstm", "rnn")]
+TOL = 1e-12
+
+
+def ragged_batch(topology, m):
+    batch = build_demo_batch(topology, m, seed=4, n_sequences=5)
+    lengths = batch.input_lengths if topology == "classify" else batch.target_lengths
+    assert len(set(lengths.tolist())) > 1, "the batch must be ragged"
+    return batch
+
+
+def examples_of(batch):
+    return [batch.example(b) for b in range(len(batch))]
+
+
+def longer_example(topology, m, batch):
+    """One example with more steps than any in ``batch``."""
+    rng = np.random.default_rng(99)
+    x, _ = batch.example(0)
+    tokens = (0, 1, 2, 3, 2, 1, 0, m.vocab.eos) if m.vocab is not None else None
+    if topology == "classify":
+        return LabeledSequence(rng.uniform(-1, 1, (9,) + m.extractor.input_shape), 1)
+    if topology == "encode_decode":
+        return SeqPair(rng.uniform(-1, 1, (9, m.input_dim)), tokens)
+    return CaptionPair(x, tokens)
+
+
+def steps_of(topology, example):
+    x, y = example
+    if topology == "classify":
+        return len(x)
+    if topology == "encode_decode":
+        return len(x) - 1 + len(y)
+    return len(y)
+
+
+def batch_grads(m, examples, drop=None):
+    grads = ModelGrads(m)
+    nll, per_step = sequence_loss_and_grads(m, SequenceBatch.from_examples(m.task, examples), grads, drop=drop)
+    return nll, per_step, grads.params
+
+
+def summed_example_grads(m, examples, drop=None):
+    grads = ModelGrads(m)
+    out = [sequence_loss_and_grads(m, ex, grads, drop=drop) for ex in examples]
+    return [nll for nll, _ in out], [steps for _, steps in out], grads.params
+
+
+@pytest.mark.parametrize("topology,cell", CASES)
+def test_batch_gradient_is_the_sum_of_example_gradients(topology, cell):
+    m = build_demo_model(topology, seed=3, cell=cell)
+    examples = examples_of(ragged_batch(topology, m))
+    nll, per_step, grads = batch_grads(m, examples)
+    nlls, want_steps, want = summed_example_grads(m, examples)
+    assert np.max(np.abs(grads - want)) <= TOL
+    assert abs(nll - sum(nlls)) <= TOL
+    for got, expected in zip(per_step, want_steps):
+        assert len(got) == len(expected)
+        assert np.max(np.abs(np.subtract(got, expected))) <= TOL
+
+
+@pytest.mark.parametrize("topology,cell", CASES)
+def test_groups_and_logit_blocks_match_the_examples(topology, cell, monkeypatch):
+    # 40 sequences run as groups of 16; two emitting steps per logit block
+    # split every group's output layer into many products.
+    m = build_demo_model(topology, seed=3, cell=cell)
+    examples = examples_of(build_demo_batch(topology, m, seed=5, n_sequences=40))
+    assert len(examples) > 2 * recseq.models._GROUP
+    nlls, want_steps, want = summed_example_grads(m, examples)
+    for block in (recseq.models._LOGIT_BLOCK, 2 * m.prediction.n_out):
+        monkeypatch.setattr(recseq.models, "_LOGIT_BLOCK", block)
+        nll, per_step, grads = batch_grads(m, examples)
+        assert np.max(np.abs(grads - want)) <= TOL
+        assert abs(nll - sum(nlls)) <= TOL
+        assert [len(steps) for steps in per_step] == [len(steps) for steps in want_steps]
+
+
+@pytest.mark.parametrize("topology,cell", CASES)
+def test_a_longer_example_leaves_the_others_unchanged(topology, cell):
+    m = build_demo_model(topology, seed=3, cell=cell)
+    batch = ragged_batch(topology, m)
+    examples = examples_of(batch)
+    long = longer_example(topology, m, batch)
+    assert steps_of(topology, example_tuple(long)) > max(steps_of(topology, ex) for ex in examples)
+    _, alone_steps, alone = batch_grads(m, examples)
+    _, with_steps, joined = batch_grads(m, examples + [long])
+    _, long_steps, long_only = batch_grads(m, [long])
+    assert np.max(np.abs((joined - long_only) - alone)) <= TOL
+    for got, expected in zip(with_steps, alone_steps + long_steps):
+        assert np.max(np.abs(np.subtract(got, expected))) <= TOL
+
+
+@pytest.mark.parametrize("topology,cell", CASES)
+def test_dropout_draws_run_example_then_step_then_layer(topology, cell):
+    m = build_demo_model(topology, seed=3, cell=cell)
+    examples = examples_of(ragged_batch(topology, m))
+    # Each single example draws its steps in order, a step's layers in order,
+    # so equal sums pin the example order of the batched draws.
+    _, _, grads = batch_grads(m, examples, drop=(0.3, np.random.default_rng(7)))
+    _, _, want = summed_example_grads(m, examples, drop=(0.3, np.random.default_rng(7)))
+    assert np.max(np.abs(grads - want)) <= TOL
+
+    rng = np.random.default_rng(11)
+    _sgd_step(m, SequenceBatch.from_examples(m.task, examples), TrainConfig(lr=0.1, dropout=0.3), rng)
+    reference = np.random.default_rng(11)
+    width = sum(c.n_input for c in m.cells)
+    reference.random(sum(steps_of(topology, ex) for ex in examples) * width)
+    assert rng.bit_generator.state == reference.bit_generator.state

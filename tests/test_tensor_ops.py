@@ -68,6 +68,26 @@ def test_sigmoid_saturation():
     assert float(sigmoid(np.array(0.0))) == 0.5
 
 
+def masked_sigmoid(x):
+    """The two-branch formula evaluated through boolean masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_the_masked_two_branch_formula():
+    grid = np.concatenate([
+        np.linspace(-800.0, 800.0, 200_000),
+        [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, np.nan],
+    ])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(sigmoid(grid), masked_sigmoid(grid), equal_nan=True)
+    assert np.signbit(sigmoid(np.array([-0.0, 0.0]))).tolist() == [False, False]
+
+
 def test_sigmoid_extreme_inputs_finite():
     x = np.array([-1e4, -100.0, 0.0, 100.0, 1e4])
     y = sigmoid(x)
