@@ -108,6 +108,24 @@ def _rebuild_model(header: dict) -> ModelSpec:
     return m
 
 
+def _training_state(header: dict):
+    """The step counter and the restored training generator (or None)."""
+    step = header.get("step", 0)
+    if type(step) is not int:
+        raise ValueError(f"step {step!r} is not an integer")
+    state = header.get("rng_state")
+    if state is None:
+        return step, None
+    rng = np.random.default_rng()
+    rng.bit_generator.state = {
+        "bit_generator": state["bit_generator"],
+        "state": {k: int(v) for k, v in state["state"].items()},
+        "has_uint32": int(state["has_uint32"]),
+        "uinteger": int(state["uinteger"]),
+    }
+    return step, rng
+
+
 def save_checkpoint(path, m: ModelSpec, step: int = 0, rng: np.random.Generator | None = None):
     """Write the model (and optional training state) to ``path`` atomically."""
     if not np.isfinite(m.params).all():
@@ -163,7 +181,8 @@ def load_checkpoint(path) -> CheckpointBundle:
         raise DataFormatError(f"bad checkpoint header: {exc}", path=path) from None
     try:
         m = _rebuild_model(header)
-    except (KeyError, TypeError, ValueError) as exc:
+        step, rng = _training_state(header)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad model description: {exc}", path=path) from None
 
     views = dict(m.blocks())
@@ -186,16 +205,4 @@ def load_checkpoint(path) -> CheckpointBundle:
         raise DataFormatError(f"missing parameter blocks: {missing}", path=path)
     if r.pos != len(data):
         raise DataFormatError("trailing bytes after checkpoint payload", path=path)
-
-    rng = None
-    if header.get("rng_state") is not None:
-        rng = np.random.default_rng()
-        state = header["rng_state"]
-        inner = {k: int(v) for k, v in state["state"].items()}
-        rng.bit_generator.state = {
-            "bit_generator": state["bit_generator"],
-            "state": inner,
-            "has_uint32": int(state["has_uint32"]),
-            "uinteger": int(state["uinteger"]),
-        }
-    return CheckpointBundle(m, int(header.get("step", 0)), rng)
+    return CheckpointBundle(m, step, rng)

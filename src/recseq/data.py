@@ -476,6 +476,29 @@ def load_kv(path):
 _WINDOWED = {"classify": ("frames.txt", None), "encode_decode": ("inputs.txt", "targets.txt")}
 
 
+def _save_frames(path, info, frames):
+    """Write (rows, *frame_shape) frames as a feature matrix; a frame of
+    more than one axis records its shape as ``frame_shape`` in ``info``."""
+    if frames.ndim > 2:
+        info["frame_shape"] = ",".join(str(d) for d in frames.shape[1:])
+    save_features(path, np.reshape(frames, (len(frames), -1)))
+
+
+def _load_frames(path, meta, meta_path) -> np.ndarray:
+    """Rows of a feature file, reshaped to the meta file's ``frame_shape`` if it has one."""
+    rows = load_features(path)
+    if "frame_shape" in meta:
+        try:
+            frame_shape = tuple(int(d) for d in meta["frame_shape"].split(","))
+        except ValueError:
+            frame_shape = ()
+        if not frame_shape or min(frame_shape) < 1 or math.prod(frame_shape) != rows.shape[1]:
+            raise DataFormatError(f"frame_shape={meta['frame_shape']} does not fit rows of {rows.shape[1]} values",
+                                  path=meta_path)
+        rows = rows.reshape((len(rows),) + frame_shape)
+    return rows
+
+
 def save_task_dir(directory, task, examples, vocab: Vocabulary | None = None, meta=None):
     """Write a generated dataset as a directory of the standard formats."""
     os.makedirs(directory, exist_ok=True)
@@ -483,18 +506,14 @@ def save_task_dir(directory, task, examples, vocab: Vocabulary | None = None, me
     if meta:
         info.update({k: str(v) for k, v in meta.items()})
     if task == "caption":
-        images = np.stack([ex.image for ex in examples])
-        save_features(os.path.join(directory, "images.txt"), images)
+        _save_frames(os.path.join(directory, "images.txt"), info, np.stack([ex.image for ex in examples]))
         captions = [vocab.decode(ex.tokens[:-1]) for ex in examples]
         save_tokens(os.path.join(directory, "captions.txt"), captions)
         save_pairs(os.path.join(directory, "pairs.tsv"), [(i, i) for i in range(len(examples))])
     elif task in _WINDOWED:
         feature_file, token_file = _WINDOWED[task]
         xs, ys = zip(*(example_tuple(ex) for ex in examples))
-        frame_shape = np.shape(xs[0])[1:]
-        if len(frame_shape) > 1:
-            info["frame_shape"] = ",".join(str(d) for d in frame_shape)
-        save_features(os.path.join(directory, feature_file), np.concatenate([np.reshape(x, (len(x), -1)) for x in xs]))
+        _save_frames(os.path.join(directory, feature_file), info, np.concatenate(xs))
         if token_file is not None:
             save_tokens(os.path.join(directory, token_file), [vocab.decode(y[:-1]) for y in ys])
             ys = range(len(ys))
@@ -524,7 +543,7 @@ def load_task_dir(directory):
     meta = load_kv(meta_path)
     task = meta.get("task")
     if task == "caption":
-        images = load_features(os.path.join(directory, "images.txt"))
+        images = _load_frames(os.path.join(directory, "images.txt"), meta, meta_path)
         captions = load_tokens(os.path.join(directory, "captions.txt"))
         pairs = load_pairs(os.path.join(directory, "pairs.tsv"))
         if not pairs:
@@ -542,16 +561,7 @@ def load_task_dir(directory):
     if task not in _WINDOWED:
         raise DataFormatError(f"unknown task {task!r} in meta.txt", path=meta_path)
     feature_file, token_file = _WINDOWED[task]
-    rows = load_features(os.path.join(directory, feature_file))
-    if "frame_shape" in meta:
-        try:
-            frame_shape = tuple(int(d) for d in meta["frame_shape"].split(","))
-        except ValueError:
-            frame_shape = ()
-        if not frame_shape or min(frame_shape) < 1 or math.prod(frame_shape) != rows.shape[1]:
-            raise DataFormatError(f"frame_shape={meta['frame_shape']} does not fit rows of {rows.shape[1]} values",
-                                  path=meta_path)
-        rows = rows.reshape((len(rows),) + frame_shape)
+    rows = _load_frames(os.path.join(directory, feature_file), meta, meta_path)
     manifest_path = os.path.join(directory, "windows.tsv")
     windows = []
     for _, start, length, ident in load_windows(manifest_path):

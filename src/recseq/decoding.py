@@ -6,6 +6,12 @@ sequences include the terminating EOS token when one was produced, the
 cumulative log probability is the sum of per-step log probabilities of the
 emitted tokens, and all tie-breaks prefer the lowest token index so runs
 are reproducible.
+
+Greedy decoding, sampling and :func:`recseq.models.encode_decode` walk one
+sequence at a time through :func:`_walk`, differing only in the rule that
+picks each token. Beam search ranks every extension of every live
+hypothesis in one array and builds a :class:`Hypothesis` only for the
+extensions that survive.
 """
 
 from __future__ import annotations
@@ -41,23 +47,31 @@ def _rank_key(h: Hypothesis):
     return (-h.logp, h.tokens)
 
 
-def greedy_decode(m: ModelSpec, features, max_len: int) -> Hypothesis:
-    """Follow the argmax token at every step until EOS or max_len."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    state, step = make_stepper(m, features)
+def _argmax(lp) -> int:
+    return int(np.argmax(lp))
+
+
+def _walk(m: ModelSpec, state, step, max_len: int, pick) -> Hypothesis:
+    """Emit ``pick(log distribution)`` from ``state`` until EOS or max_len tokens."""
     tokens = []
     logp = 0.0
     prev = m.vocab.bos
     for t in range(max_len):
         lp, state = step(state, prev, t)
-        k = int(np.argmax(lp))
-        tokens.append(k)
-        logp += float(lp[k])
-        if k == m.vocab.eos:
+        prev = pick(lp)
+        tokens.append(prev)
+        logp += float(lp[prev])
+        if prev == m.vocab.eos:
             return Hypothesis(tuple(tokens), logp, True, state)
-        prev = k
     return Hypothesis(tuple(tokens), logp, False, state)
+
+
+def greedy_decode(m: ModelSpec, features, max_len: int) -> Hypothesis:
+    """Follow the argmax token at every step until EOS or max_len."""
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    state, step = make_stepper(m, features)
+    return _walk(m, state, step, max_len, _argmax)
 
 
 def beam_search(m: ModelSpec, features, width: int, max_len: int) -> list:
@@ -75,28 +89,22 @@ def beam_search(m: ModelSpec, features, width: int, max_len: int) -> list:
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     state, step = make_stepper(m, features)
-    vocab_size = m.vocab.size
-    eos = m.vocab.eos
     live = [Hypothesis((), 0.0, False, state)]
     done = []
     for t in range(max_len):
         if not live or len(done) >= width:
             break
-        candidates = []
-        for hyp in live:
-            prev = hyp.tokens[-1] if hyp.tokens else m.vocab.bos
-            lp, new_state = step(hyp.state, prev, t)
-            for k in range(vocab_size):
-                candidates.append(
-                    Hypothesis(hyp.tokens + (k,), hyp.logp + float(lp[k]), k == eos, new_state)
-                )
-        candidates.sort(key=_rank_key)
-        live = []
-        for h in candidates[:width]:
-            if h.finished:
-                done.append(h)
-            else:
-                live.append(h)
+        # Live hypotheses are distinct and equally long, so with parents in
+        # token order a stable sort by score breaks ties by flat index
+        # exactly as _rank_key does.
+        live.sort(key=lambda h: h.tokens)
+        stepped = [step(h.state, h.tokens[-1] if h.tokens else m.vocab.bos, t) for h in live]
+        scores = np.array([h.logp for h in live])[:, None] + np.array([lp for lp, _ in stepped])
+        parents, live = live, []
+        for i in np.argsort(-scores, axis=None, kind="stable")[:width].tolist():
+            p, k = divmod(i, m.vocab.size)
+            h = Hypothesis(parents[p].tokens + (k,), float(scores[p, k]), k == m.vocab.eos, stepped[p][1])
+            (done if h.finished else live).append(h)
     done.sort(key=_rank_key)
     return done[:width]
 
@@ -112,31 +120,17 @@ def sample_decode(m: ModelSpec, features, n_samples: int, temperature: float, ma
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
+    if not 0.0 < temperature < float("inf"):
+        raise ValueError("temperature must be positive and finite")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     rng = np.random.default_rng(seed)
-    state0, step = make_stepper(m, features)
-    pool = []
-    for _ in range(n_samples):
-        state = state0
-        tokens = []
-        logp = 0.0
-        prev = m.vocab.bos
-        finished = False
-        for t in range(max_len):
-            lp, state = step(state, prev, t)
-            probs = softmax(temperature * lp)
-            # Inverse-CDF draw; cumulative sums keep the pick reproducible.
-            r = rng.random()
-            k = int(np.searchsorted(np.cumsum(probs), r, side="right"))
-            k = min(k, probs.size - 1)
-            tokens.append(k)
-            logp += float(lp[k])
-            if k == m.vocab.eos:
-                finished = True
-                break
-            prev = k
-        pool.append(Hypothesis(tuple(tokens), logp, finished, state))
-    return sorted(pool, key=_rank_key)
+    state, step = make_stepper(m, features)
+
+    def draw(lp) -> int:
+        probs = softmax(temperature * lp)
+        # Inverse-CDF draw; cumulative sums keep the pick reproducible.
+        k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        return min(k, probs.size - 1)
+
+    return sorted((_walk(m, state, step, max_len, draw) for _ in range(n_samples)), key=_rank_key)

@@ -526,17 +526,17 @@ def encode_decode(m: ModelSpec, inputs, max_out_len: int):
     Returns the list of emitted distributions over the vocabulary, one per
     produced token, stopping after EOS or ``max_out_len`` emissions.
     """
+    from .decoding import _argmax, _walk  # deferred: decoding imports this module
+
     if m.task != "encode_decode":
         raise ValueError(f"encode_decode called on a {m.task} model")
-    state, step = make_stepper(m, inputs)
     dists = []
-    prev = m.vocab.bos
-    for t in range(max_out_len):
-        logp, state = step(state, prev, t)
-        dists.append(np.exp(logp))
-        prev = int(np.argmax(logp))
-        if prev == m.vocab.eos:
-            break
+
+    def pick(lp) -> int:
+        dists.append(np.exp(lp))
+        return _argmax(lp)
+
+    _walk(m, *make_stepper(m, inputs), max_out_len, pick)
     return dists
 
 

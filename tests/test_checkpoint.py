@@ -1,9 +1,14 @@
 """Binary checkpoint format: exact round trips and corruption detection."""
 
+import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recseq.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from recseq.errors import DataFormatError, NumericError
@@ -173,6 +178,34 @@ class TestCorruption:
         path.write_bytes(bytes(data))
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
+
+
+# Small JSON values: no replacement can describe a large model.
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-2, max_value=64) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestHeaderFuzz:
+    @given(st.sampled_from(TOPOLOGIES), st.data(), SMALL_JSON)
+    @settings(max_examples=50, deadline=None)
+    def test_one_replaced_field_loads_or_is_a_data_error(self, topology, data, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            save_checkpoint(path, build_demo_model(topology, seed=0), step=4, rng=np.random.default_rng(1))
+            raw = path.read_bytes()
+            offset = len(MAGIC) + 4
+            (length,) = struct.unpack_from("<Q", raw, offset)
+            header = json.loads(raw[offset + 8:offset + 8 + length])
+            header[data.draw(st.sampled_from(sorted(header)), label="field")] = value
+            encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+            path.write_bytes(raw[:offset] + struct.pack("<Q", len(encoded)) + encoded + raw[offset + 8 + length:])
+            try:
+                load_checkpoint(path)
+            except DataFormatError:
+                pass
 
 
 class TestExtractorVariants:

@@ -9,7 +9,8 @@ import pytest
 import recseq.training
 from recseq.checkpoint import MAGIC, load_checkpoint
 from recseq.cli import main
-from recseq.data import LabeledSequence, load_task_dir, save_task_dir
+from recseq.data import CaptionPair, LabeledSequence, load_task_dir, save_task_dir
+from recseq.models import Vocabulary
 
 
 def run(capsys, *argv):
@@ -138,13 +139,29 @@ def _overflowing_update(tmp_path, capsys):
     return ["train", "--data", str(d), "--out", str(tmp_path / "m.ckpt"), "--epochs", "1", "--lr", "1e308"]
 
 
-def _copy_targets_not_utf8(tmp_path, capsys):
+def _small_copy_dir(tmp_path, capsys):
     d = tmp_path / "copy"
     code, _, err = run(capsys, "synth", "--task", "copy", "--out", str(d), "--count", "4", "--seq-len", "2")
     assert code == 0, err
+    return d
+
+
+def _copy_targets_not_utf8(tmp_path, capsys):
+    d = _small_copy_dir(tmp_path, capsys)
     with open(d / "targets.txt", "ab") as fh:
         fh.write(b"\xff\xfe")
     return ["train", "--data", str(d), "--out", str(tmp_path / "m.ckpt"), "--hidden", "3", "--epochs", "1"]
+
+
+def _sample_copy(tmp_path, capsys, *flags):
+    d = _small_copy_dir(tmp_path, capsys)
+    ckpt = tmp_path / "m.ckpt"
+    code, _, err = run(capsys, "train", "--data", str(d), "--out", str(ckpt), "--hidden", "3", "--epochs", "1")
+    assert code == 0, err
+    return ["generate", "--model", str(ckpt), "--data", str(d), "--strategy", "sample", *flags]
+
+
+_PCG64_STATE = {"state": 1, "inc": 1}
 
 
 # (case, function returning the argv, documented exit code)
@@ -173,6 +190,15 @@ BAD_INVOCATIONS = [
         t, c, edit=lambda d: _edit_text(d / "meta.txt", "classes=2\n", "classes=2\nframe_shape=2,2\n")), 2),
     ("checkpoint_dimension_2_62", lambda t, c: _eval_edited_checkpoint(t, c, _huge_first_dimension), 2),
     ("checkpoint_inject_layer_3", lambda t, c: _eval_edited_checkpoint(t, c, _header_field("inject_layer", 3)), 2),
+    ("sample_temperature_nan", lambda t, c: _sample_copy(t, c, "--temperature", "nan"), 1),
+    ("checkpoint_step_list", lambda t, c: _eval_edited_checkpoint(t, c, _header_field("step", [1])), 2),
+    ("checkpoint_step_not_a_number", lambda t, c: _eval_edited_checkpoint(t, c, _header_field("step", "abc")), 2),
+    ("checkpoint_rng_state_string", lambda t, c: _eval_edited_checkpoint(t, c, _header_field("rng_state", "x")), 2),
+    ("checkpoint_rng_state_without_state", lambda t, c: _eval_edited_checkpoint(t, c, _header_field(
+        "rng_state", {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0})), 2),
+    ("checkpoint_rng_unknown_bit_generator", lambda t, c: _eval_edited_checkpoint(t, c, _header_field(
+        "rng_state", {"bit_generator": "NOPE", "state": _PCG64_STATE, "has_uint32": 0, "uinteger": 0})), 2),
+    ("checkpoint_extractor_string", lambda t, c: _eval_edited_checkpoint(t, c, _header_field("extractor", "x")), 2),
 ]
 
 
@@ -211,6 +237,23 @@ class TestFailureContract:
         code, out, _ = run(capsys, "eval", "--model", str(ckpt), "--data", str(d), "--metric", "accuracy")
         assert code == 0
         assert out.startswith("accuracy ")
+
+    def test_smallconv_trains_on_caption_images(self, capsys, tmp_path):
+        rng = np.random.default_rng(0)
+        vocab = Vocabulary.from_words(["a", "b"])
+        examples = [CaptionPair(rng.standard_normal((1, 8, 8)), (k % 2, vocab.eos)) for k in range(4)]
+        d = tmp_path / "images"
+        save_task_dir(d, "caption", examples, vocab=vocab)
+        _, loaded, _ = load_task_dir(d)
+        assert all(np.array_equal(a.image, b.image) for a, b in zip(examples, loaded))
+        ckpt = tmp_path / "conv.ckpt"
+        code, out, err = run(capsys, "train", "--data", str(d), "--out", str(ckpt), "--extractor", "smallconv",
+                             "--extractor-dim", "4", "--hidden", "3", "--epochs", "1")
+        assert code == 0, err
+        assert load_checkpoint(ckpt).model.extractor.input_shape == (1, 8, 8)
+        code, out, _ = run(capsys, "generate", "--model", str(ckpt), "--data", str(d), "--strategy", "beam")
+        assert code == 0
+        assert out.startswith("0\t")
 
 
 class TestSynth:

@@ -59,6 +59,50 @@ def exhaustive_best(m, features, max_len):
     return best
 
 
+def reference_beam(m, features, width, max_len):
+    """Beam search that scores and sorts every extension of every live
+    hypothesis, as (tokens, logp, finished) triples."""
+    state0, step = make_stepper(m, features)
+    live = [((), 0.0, state0)]
+    done = []
+    for t in range(max_len):
+        if not live or len(done) >= width:
+            break
+        candidates = []
+        for tokens, logp, state in live:
+            lp, new_state = step(state, tokens[-1] if tokens else m.vocab.bos, t)
+            candidates += [(tokens + (k,), logp + float(lp[k]), new_state) for k in range(m.vocab.size)]
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        live = []
+        for c in candidates[:width]:
+            (done if c[0][-1] == m.vocab.eos else live).append(c)
+    done.sort(key=lambda c: (-c[1], c[0]))
+    return [(tokens, logp, True) for tokens, logp, _ in done[:width]]
+
+
+def reference_samples(m, features, n_samples, temperature, max_len, seed):
+    """One inverse-CDF draw per step from one generator, sample after sample."""
+    rng = np.random.default_rng(seed)
+    state0, step = make_stepper(m, features)
+    pool = []
+    for _ in range(n_samples):
+        state, tokens, logp, prev = state0, (), 0.0, m.vocab.bos
+        for t in range(max_len):
+            lp, state = step(state, prev, t)
+            cdf = np.cumsum(softmax(temperature * lp))
+            prev = min(int(np.searchsorted(cdf, rng.random(), side="right")), m.vocab.size - 1)
+            tokens += (prev,)
+            logp += float(lp[prev])
+            if prev == m.vocab.eos:
+                break
+        pool.append((tokens, logp, tokens[-1] == m.vocab.eos))
+    return sorted(pool, key=lambda h: (-h[1], h[0]))
+
+
+def triples(hyps):
+    return [(h.tokens, h.logp, h.finished) for h in hyps]
+
+
 class TestGreedy:
     def test_uniform_model_breaks_ties_toward_token_zero(self):
         m = zero_caption_model()
@@ -150,6 +194,25 @@ class TestBeam:
             want = caption_log_likelihood(m, visual, h.tokens)
             assert h.logp == pytest.approx(want, abs=1e-10)
 
+    @pytest.mark.parametrize("bias", [None, [1.0, 2.0, 3.0, 0.0, 2.5]])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
+    def test_ties_across_parents_break_as_sorting_every_extension(self, width, bias):
+        # With zero weights every step emits the same distribution: with no
+        # bias every extension ties, with one every reordering of a prefix
+        # ties while live parents are out of token order.
+        m = zero_caption_model(n_words=3)
+        if bias is not None:
+            m.prediction.b_z[:] = bias
+        assert triples(beam_search(m, np.zeros(3), width, 4)) == reference_beam(m, np.zeros(3), width, 4)
+
+    @pytest.mark.parametrize("topology", ["caption_1u", "caption_2f", "encode_decode", "perstep_decode"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_width_equals_sorting_every_extension(self, topology, seed):
+        m = build_demo_model(topology, seed=seed)
+        feats = demo_features(topology, m, seed=seed)
+        for width in range(1, 7):
+            assert triples(beam_search(m, feats, width, 5)) == reference_beam(m, feats, width, 5)
+
     def test_rejects_bad_width(self):
         m = zero_caption_model()
         with pytest.raises(ValueError):
@@ -205,12 +268,21 @@ class TestSampling:
             sigma = math.sqrt(n * expected[k] * (1 - expected[k]))
             assert abs(counts[k] - n * expected[k]) <= 4 * sigma + 1
 
+    @pytest.mark.parametrize("topology", ["caption_1u", "encode_decode"])
+    @pytest.mark.parametrize("temperature", [1.0, 2.0])
+    def test_pool_equals_a_per_sample_reference(self, topology, temperature):
+        m = build_demo_model(topology, seed=4)
+        feats = demo_features(topology, m, seed=4)
+        got = sample_decode(m, feats, n_samples=8, temperature=temperature, max_len=5, seed=7)
+        assert triples(got) == reference_samples(m, feats, 8, temperature, 5, seed=7)
+
     def test_rejects_bad_arguments(self):
         m = zero_caption_model()
         with pytest.raises(ValueError):
             sample_decode(m, np.zeros(3), n_samples=0, temperature=1.0, max_len=3)
-        with pytest.raises(ValueError):
-            sample_decode(m, np.zeros(3), n_samples=1, temperature=0.0, max_len=3)
+        for temperature in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sample_decode(m, np.zeros(3), n_samples=1, temperature=temperature, max_len=3)
         with pytest.raises(ValueError):
             sample_decode(m, np.zeros(3), n_samples=1, temperature=1.0, max_len=0)
 

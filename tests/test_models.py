@@ -213,8 +213,10 @@ def test_encode_decode_zero_params_uniform():
         vocab=vocab, embedding=EmbeddingParams(np.zeros((3, 6))), input_dim=2,
     )
     dists = encode_decode(m, np.ones((3, 2)), max_out_len=2)
+    assert len(dists) == 2
     for d in dists:
         assert np.max(np.abs(d - 1.0 / 6.0)) < 1e-14
+    assert encode_decode(m, np.ones((3, 2)), max_out_len=0) == []
 
 
 def test_encode_decode_single_input_predicts_immediately():
