@@ -87,18 +87,51 @@ def _describe_model(m: ModelSpec, step: int, rng) -> dict:
     }
 
 
+# The JSON types each header field may hold; only step and rng_state may be absent.
+_FIELD_TYPES = {
+    "task": (str,), "cell": (str,), "rnn_nonlinearity": (str, type(None)), "hidden": (int,),
+    "layer_input_dims": (list,), "factored": (bool,), "inject_layer": (int, type(None)),
+    "input_dim": (int, type(None)), "visual_mode": (str, type(None)), "visual_blocks": (list, type(None)),
+    "n_out": (int,), "vocab": (dict, type(None)), "embed_dim": (int, type(None)),
+    "extractor": (dict, type(None)), "step": (int,), "rng_state": (dict, type(None)),
+}
+
+
+def _check_fields(header):
+    """Every header field is present (or may be absent) and holds its JSON type."""
+    if type(header) is not dict:
+        raise ValueError("the header is not a JSON object")
+    for name, types in _FIELD_TYPES.items():
+        if name not in header:
+            if name not in ("step", "rng_state"):
+                raise ValueError(f"header field {name!r} is missing")
+        elif type(header[name]) not in types:
+            raise ValueError(f"header field {name!r} has the wrong type ({type(header[name]).__name__})")
+
+
+def _parse(header, name, parse):
+    """``parse(header[name])``, with a failure reported under the field's name."""
+    try:
+        return None if header.get(name) is None else parse(header[name])
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"header field {name!r} is malformed ({type(exc).__name__}: {exc})") from None
+
+
+def _make_extractor(d, rng):
+    """The extractor a header's extractor field describes."""
+    options = {k: v for k, v in d.items() if k in ("hidden_dim", "n_filters", "kernel_size")}
+    return make_extractor(d["variant"], tuple(d["input_shape"]), out_dim=d.get("out_dim"), rng=rng, **options)
+
+
 def _rebuild_model(header: dict) -> ModelSpec:
     """Build the described model; its placeholder weights are all overwritten."""
+    _check_fields(header)
     rng = np.random.default_rng(0)
-    extractor = header["extractor"]
-    if extractor is not None:
-        options = {k: v for k, v in extractor.items() if k in ("hidden_dim", "n_filters", "kernel_size")}
-        extractor = make_extractor(extractor["variant"], tuple(extractor["input_shape"]),
-                                   out_dim=extractor.get("out_dim"), rng=rng, **options)
     m = build_model(
         header["task"], rng=rng, hidden=header["hidden"], layers=len(header["layer_input_dims"]),
-        cell=header["cell"], rnn_nonlinearity=header["rnn_nonlinearity"], extractor=extractor,
-        n_classes=header["n_out"], vocab=None if header["vocab"] is None else Vocabulary.from_dict(header["vocab"]),
+        cell=header["cell"], rnn_nonlinearity=header["rnn_nonlinearity"], n_classes=header["n_out"],
+        extractor=_parse(header, "extractor", lambda d: _make_extractor(d, rng)),
+        vocab=_parse(header, "vocab", Vocabulary.from_dict),
         **{k: header[k] for k in ("embed_dim", "input_dim", "factored", "visual_mode", "visual_blocks")},
     )
     described = _describe_model(m, 0, None)
@@ -108,14 +141,8 @@ def _rebuild_model(header: dict) -> ModelSpec:
     return m
 
 
-def _training_state(header: dict):
-    """The step counter and the restored training generator (or None)."""
-    step = header.get("step", 0)
-    if type(step) is not int:
-        raise ValueError(f"step {step!r} is not an integer")
-    state = header.get("rng_state")
-    if state is None:
-        return step, None
+def _restore_rng(state):
+    """The training generator a header's rng_state describes."""
     rng = np.random.default_rng()
     rng.bit_generator.state = {
         "bit_generator": state["bit_generator"],
@@ -123,7 +150,7 @@ def _training_state(header: dict):
         "has_uint32": int(state["has_uint32"]),
         "uinteger": int(state["uinteger"]),
     }
-    return step, rng
+    return rng
 
 
 def save_checkpoint(path, m: ModelSpec, step: int = 0, rng: np.random.Generator | None = None):
@@ -181,7 +208,7 @@ def load_checkpoint(path) -> CheckpointBundle:
         raise DataFormatError(f"bad checkpoint header: {exc}", path=path) from None
     try:
         m = _rebuild_model(header)
-        step, rng = _training_state(header)
+        step, rng = header.get("step", 0), _parse(header, "rng_state", _restore_rng)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad model description: {exc}", path=path) from None
 
@@ -199,6 +226,8 @@ def load_checkpoint(path) -> CheckpointBundle:
         # The size comes from the model's own block, never from the file's
         # dimensions, and take() checks it against the bytes left.
         np.copyto(views[name], np.frombuffer(r.take(8 * views[name].size), dtype="<f8").reshape(shape))
+        if not np.isfinite(views[name]).all():
+            raise DataFormatError(f"block {name!r} holds non-finite values", path=path)
         seen.add(name)
     missing = [n for n in views if n not in seen]
     if missing:

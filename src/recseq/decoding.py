@@ -126,6 +126,12 @@ def sample_decode(m: ModelSpec, features, n_samples: int, temperature: float, ma
         raise ValueError("max_len must be at least 1")
     rng = np.random.default_rng(seed)
     state, step = make_stepper(m, features)
+    # Every sample starts with the same step; states are never mutated, so
+    # one result serves them all.
+    first = step(state, m.vocab.bos, 0)
+
+    def shared_first(s, prev, t):
+        return first if t == 0 else step(s, prev, t)
 
     def draw(lp) -> int:
         probs = softmax(temperature * lp)
@@ -133,4 +139,4 @@ def sample_decode(m: ModelSpec, features, n_samples: int, temperature: float, ma
         k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
         return min(k, probs.size - 1)
 
-    return sorted((_walk(m, state, step, max_len, draw) for _ in range(n_samples)), key=_rank_key)
+    return sorted((_walk(m, state, shared_first, max_len, draw) for _ in range(n_samples)), key=_rank_key)

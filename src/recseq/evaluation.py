@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import example_tuple
 from .decoding import greedy_decode
-from .models import ModelSpec, caption_log_likelihood, classify_sequence
+from .models import ModelSpec, _late_fusion, _log_likelihoods, caption_log_likelihood  # noqa: F401 (re-export)
 from .tensor_ops import as_f64
 
 __all__ = [
@@ -167,11 +167,7 @@ def score_pairs(m: ModelSpec, image_feats, captions) -> np.ndarray:
     """
     feats = [as_f64(f) for f in image_feats]
     caps = [list(c) for c in captions]
-    out = np.empty((len(feats), len(caps)))
-    for i, feat in enumerate(feats):
-        for j, cap in enumerate(caps):
-            out[i, j] = caption_log_likelihood(m, feat, cap)
-    return out
+    return _log_likelihoods(m, [(f, c) for f in feats for c in caps]).reshape(len(feats), len(caps))
 
 
 def fuse_streams(dists_a, dists_b, w_a: float, w_b: float):
@@ -205,14 +201,20 @@ def clip_windows(n_frames: int, clip_len: int = 16, stride: int = 8):
     return [(s, clip_len) for s in range(0, n_frames - clip_len + 1, stride)]
 
 
+def _clip_distributions(m: ModelSpec, videos, clip_len, stride):
+    """The (clips, classes) distributions of each video, all from one late-fusion
+    call; with ``clip_len`` None each video is one clip."""
+    windows = [[(0, len(v))] if clip_len is None else clip_windows(len(v), clip_len, stride) for v in videos]
+    dists = _late_fusion(m, [v[s:s + n] for v, w in zip(videos, windows) for s, n in w])
+    return np.split(dists, np.cumsum([len(w) for w in windows])[:-1])
+
+
 def clip_protocol_eval(m: ModelSpec, frames, clip_len: int = 16, stride: int = 8):
     """Classify fixed-length clips and average their distributions.
 
     Returns (video distribution, per-clip distributions).
     """
-    frames = as_f64(frames)
-    windows = clip_windows(len(frames), clip_len, stride)
-    dists = [classify_sequence(m, frames[s:s + n]) for s, n in windows]
+    dists = list(_clip_distributions(m, [as_f64(frames)], clip_len, stride)[0])
     return np.mean(dists, axis=0), dists
 
 
@@ -233,12 +235,5 @@ def classification_accuracy(m: ModelSpec, examples, clip_len: int | None = None,
     """Argmax accuracy, optionally under the sliding-clip protocol."""
     if not examples:
         raise ValueError("no examples to evaluate")
-    hits = 0
-    for ex in examples:
-        if clip_len is None:
-            dist = classify_sequence(m, ex.frames)
-        else:
-            dist, _ = clip_protocol_eval(m, ex.frames, clip_len, stride)
-        if int(np.argmax(dist)) == ex.label:
-            hits += 1
-    return hits / len(examples)
+    videos = _clip_distributions(m, [as_f64(ex.frames) for ex in examples], clip_len, stride)
+    return sum(int(np.argmax(d.mean(axis=0))) == ex.label for d, ex in zip(videos, examples)) / len(examples)

@@ -445,18 +445,6 @@ def _check_visual(m: ModelSpec, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _token_inputs(m: ModelSpec, visual: np.ndarray, prev_ids):
-    """Layer-1 inputs of caption and per-step wiring, one per previous token.
-
-    Returns (inputs, inject vector, 0-based inject layer). Each input is
-    [embedded token, visual vector]; a factored model feeds the embedding
-    alone and injects the visual vector at its inject layer instead.
-    """
-    if m.factored:
-        return [m.embedding.W_e[:, p] for p in prev_ids], visual, m.inject_layer - 1
-    return [np.concatenate([m.embedding.W_e[:, p], visual]) for p in prev_ids], None, None
-
-
 def _check_encoder_inputs(m: ModelSpec, inputs) -> np.ndarray:
     inputs = as_f64(inputs)
     if inputs.ndim != 2 or inputs.shape[0] < 1:
@@ -469,8 +457,11 @@ def _check_encoder_inputs(m: ModelSpec, inputs) -> np.ndarray:
 def _decode_step(m: ModelSpec, visual: np.ndarray, prev_token: int, state: RecurrentState):
     """Shared single step for caption and per-step decode wiring."""
     _check_token(m, prev_token)
-    us, inject, inject_layer = _token_inputs(m, visual, [prev_token])
-    hs, new_state, _ = _unroll(m.cells, us, initial=state, inject=inject, inject_layer=inject_layer)
+    e = m.embedding.W_e[:, prev_token]
+    if m.factored:
+        hs, new_state, _ = _unroll(m.cells, [e], initial=state, inject=visual, inject_layer=m.inject_layer - 1)
+    else:
+        hs, new_state, _ = _unroll(m.cells, [np.concatenate([e, visual])], initial=state)
     return _logits(m, hs[-1][0]), new_state
 
 
@@ -495,29 +486,42 @@ def perstep_decode_step(m: ModelSpec, visual_vec: np.ndarray, prev_token: int, s
 
 
 def caption_log_likelihood(m: ModelSpec, img_feat: np.ndarray, tokens) -> float:
-    """Teacher-forced log likelihood of a caption (ending in EOS)."""
-    if m.task not in ("caption", "perstep_decode"):
-        raise ValueError(f"caption_log_likelihood called on a {m.task} model")
-    v = _check_visual(m, img_feat)
-    tokens = [int(t) for t in tokens]
-    _check_tokens(m, np.array(tokens, dtype=np.int64).reshape(1, -1), np.array([len(tokens)]))
-    # Teacher forcing: BOS, then the gold prefix.
-    us, inject, inject_layer = _token_inputs(m, v, [m.vocab.bos] + tokens[:-1])
-    hs, _, _ = _unroll(m.cells, us, inject=inject, inject_layer=inject_layer)
-    lp = log_softmax(hs[-1] @ m.prediction.W_z.T + m.prediction.b_z)
-    return sum(lp[np.arange(len(tokens)), tokens].tolist())
+    """Teacher-forced log likelihood of a caption (ending in EOS) under an extracted feature."""
+    return float(_log_likelihoods(m, [(img_feat, list(tokens))])[0])
 
 
 def classify_sequence(m: ModelSpec, frames) -> np.ndarray:
     """Late-fusion class distribution: the mean of per-step softmaxes."""
+    return _late_fusion(m, [frames])[0]
+
+
+def _groups(task, examples):
+    """SequenceBatches of at most ``_GROUP`` examples, padded one group at a time."""
+    from .data import SequenceBatch  # deferred: data imports this module
+
+    return (SequenceBatch.from_examples(task, examples[lo:lo + _GROUP]) for lo in range(0, len(examples), _GROUP))
+
+
+def _log_likelihoods(m: ModelSpec, pairs) -> np.ndarray:
+    """Teacher-forced log likelihood of each (visual vector, tokens) pair."""
+    if m.task not in ("caption", "perstep_decode"):
+        raise ValueError(f"cannot score captions with a {m.task} model")
+    # The perstep_decode layout tells the plan that the visual vectors are already extracted.
+    return -np.array([sum(s) for b in _groups("perstep_decode", pairs) for s in sequence_loss_and_grads(m, b)[1]])
+
+
+def _late_fusion(m: ModelSpec, sequences) -> np.ndarray:
+    """Late-fusion distribution of each frame sequence: the mean over its own steps."""
     if m.task != "classify":
-        raise ValueError(f"classify_sequence called on a {m.task} model")
-    frames = as_f64(frames)
-    if len(frames) == 0:
-        raise ValueError("classify_sequence needs at least one frame")
-    feats = [phi_forward(m.extractor, fr)[0] for fr in frames]
-    hs, _, _ = _unroll(m.cells, feats)
-    return softmax(hs[-1] @ m.prediction.W_z.T + m.prediction.b_z).mean(axis=0)
+        raise ValueError(f"cannot classify sequences with a {m.task} model")
+    out = []
+    for batch in _groups("classify", [(frames, 0) for frames in sequences]):  # 0: an unread label
+        xs, _, targets, _, _, steps = _batch_plan(m, batch)
+        hs, _, _ = _unroll(m.cells, xs, lengths=steps)
+        probs = softmax(hs[-1] @ m.prediction.W_z.T + m.prediction.b_z)
+        probs[targets < 0] = 0.0
+        out.extend(probs.sum(axis=0) / steps[:, None])
+    return np.array(out)
 
 
 def encode_decode(m: ModelSpec, inputs, max_out_len: int):
@@ -651,7 +655,7 @@ def _batch_plan(m: ModelSpec, batch):
         n_in = batch.input_lengths.max()
         xs[:n_in, :, d_e:] = batch.inputs[:, :n_in].swapaxes(0, 1)
     else:
-        if m.task == "caption":
+        if batch.task == m.task == "caption":  # a perstep_decode batch holds extracted vectors
             outs = [phi_forward(m.extractor, x) for x in batch.inputs]
             visual = np.array([v for v, _ in outs])
             phi = [(cache, None, b) for b, (_, cache) in enumerate(outs)]

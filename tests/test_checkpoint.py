@@ -208,6 +208,82 @@ class TestHeaderFuzz:
                 pass
 
 
+def _payload_offsets(raw):
+    """Byte offset of every payload float of a checkpoint, in file order."""
+    offset = len(MAGIC) + 4
+    offset += 8 + struct.unpack_from("<Q", raw, offset)[0]
+    (n_blocks,) = struct.unpack_from("<Q", raw, offset)
+    offset += 8
+    out = []
+    for _ in range(n_blocks):
+        offset += 8 + struct.unpack_from("<Q", raw, offset)[0]
+        (ndim,) = struct.unpack_from("<Q", raw, offset)
+        size = int(np.prod(struct.unpack_from(f"<{ndim}Q", raw, offset + 8)))
+        offset += 8 + 8 * ndim
+        out.extend(range(offset, offset + 8 * size, 8))
+        offset += 8 * size
+    assert offset == len(raw)
+    return out
+
+
+def _payload(m):
+    return np.concatenate([a.ravel() for _, a in m.blocks()])
+
+
+class TestPayloadFuzz:
+    @given(st.sampled_from(TOPOLOGIES), st.data(), st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=50, deadline=None)
+    def test_one_replaced_float_loads_exactly_or_is_a_data_error(self, topology, data, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            m = build_demo_model(topology, seed=0)
+            save_checkpoint(path, m)
+            raw = bytearray(path.read_bytes())
+            offsets = _payload_offsets(raw)
+            k = data.draw(st.integers(0, len(offsets) - 1), label="float")
+            struct.pack_into("<d", raw, offsets[k], value)
+            path.write_bytes(bytes(raw))
+            if not np.isfinite(value):
+                with pytest.raises(DataFormatError, match="non-finite"):
+                    load_checkpoint(path)
+                return
+            want = _payload(m)
+            want[k] = value
+            assert _payload(load_checkpoint(path).model).tobytes() == want.tobytes()
+
+
+# (header field, replacement value; None deletes the field)
+HEADER_FAULTS = [
+    ("rng_state", {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}),
+    ("extractor", "x"),
+    ("extractor", {"input_shape": [4]}),
+    ("vocab", [1, 2]),
+    ("vocab", {"bos": 0}),
+    ("hidden", "big"),
+    ("task", None),
+    ("step", "abc"),
+]
+
+
+class TestHeaderErrorsNameTheField:
+    @pytest.mark.parametrize("field,value", HEADER_FAULTS, ids=[f"{f}-{v!r}" for f, v in HEADER_FAULTS])
+    def test_message_names_the_field(self, tmp_path, field, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_demo_model("caption_1u", seed=0), step=2, rng=np.random.default_rng(1))
+        raw = path.read_bytes()
+        offset = len(MAGIC) + 4
+        (length,) = struct.unpack_from("<Q", raw, offset)
+        header = json.loads(raw[offset + 8:offset + 8 + length])
+        if value is None:
+            del header[field]
+        else:
+            header[field] = value
+        encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(raw[:offset] + struct.pack("<Q", len(encoded)) + encoded + raw[offset + 8 + length:])
+        with pytest.raises(DataFormatError, match=f"header field '{field}'"):
+            load_checkpoint(path)
+
+
 class TestExtractorVariants:
     @pytest.mark.parametrize("variant,shape,options", [
         ("identity", (5,), {}),

@@ -133,6 +133,10 @@ def _huge_first_dimension(data):
     return bytes(data)
 
 
+def _nan_last_payload_float(data):
+    return bytes(data[:-8]) + struct.pack("<d", float("nan"))
+
+
 def _overflowing_update(tmp_path, capsys):
     # One example of eight frames: the first update of lr 1e308 overflows.
     d = _order_dir(tmp_path, capsys, "one", "--count", "2", "--seq-len", "8")
@@ -199,6 +203,7 @@ BAD_INVOCATIONS = [
     ("checkpoint_rng_unknown_bit_generator", lambda t, c: _eval_edited_checkpoint(t, c, _header_field(
         "rng_state", {"bit_generator": "NOPE", "state": _PCG64_STATE, "has_uint32": 0, "uinteger": 0})), 2),
     ("checkpoint_extractor_string", lambda t, c: _eval_edited_checkpoint(t, c, _header_field("extractor", "x")), 2),
+    ("checkpoint_payload_nan", lambda t, c: _eval_edited_checkpoint(t, c, _nan_last_payload_float), 2),
 ]
 
 

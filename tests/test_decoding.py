@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import recseq.decoding
 from recseq.decoding import Hypothesis, beam_search, greedy_decode, sample_decode
 from recseq.models import Vocabulary, build_model, caption_log_likelihood, make_stepper
 from recseq.tensor_ops import softmax
@@ -275,6 +276,27 @@ class TestSampling:
         feats = demo_features(topology, m, seed=4)
         got = sample_decode(m, feats, n_samples=8, temperature=temperature, max_len=5, seed=7)
         assert triples(got) == reference_samples(m, feats, 8, temperature, 5, seed=7)
+
+    @pytest.mark.parametrize("topology", ["caption_1u", "encode_decode"])
+    def test_first_step_runs_once_for_the_whole_pool(self, monkeypatch, topology):
+        m = build_demo_model(topology, seed=4)
+        feats = demo_features(topology, m, seed=4)
+        calls = []
+
+        def counting_stepper(model, features):
+            state, step = make_stepper(model, features)
+
+            def counted(s, prev, t):
+                calls.append(t)
+                return step(s, prev, t)
+
+            return state, counted
+
+        monkeypatch.setattr(recseq.decoding, "make_stepper", counting_stepper)
+        got = sample_decode(m, feats, n_samples=8, temperature=1.0, max_len=5, seed=7)
+        assert triples(got) == reference_samples(m, feats, 8, 1.0, 5, seed=7)
+        assert calls.count(0) == 1
+        assert len(calls) == sum(len(h.tokens) for h in got) - (8 - 1)
 
     def test_rejects_bad_arguments(self):
         m = zero_caption_model()

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recseq.models
+from recseq.data import LabeledSequence
 from recseq.evaluation import (
     RetrievalReport,
     ScoreMatrix,
     bleu,
+    classification_accuracy,
     clip_protocol_eval,
     clip_windows,
     corpus_bleu,
@@ -19,7 +22,16 @@ from recseq.evaluation import (
     score_pairs,
 )
 from recseq.features import make_extractor, phi_forward
-from recseq.models import Vocabulary, build_model, caption_log_likelihood, classify_sequence
+from recseq.models import (
+    Vocabulary,
+    build_model,
+    caption_log_likelihood,
+    caption_step,
+    classify_sequence,
+    initial_state,
+    perstep_decode_step,
+)
+from recseq.training import build_demo_batch, build_demo_model
 
 
 def tokens(text):
@@ -234,6 +246,120 @@ class TestScorePairs:
             want = -len(cap) * math.log(m.vocab.size)
             for i in range(3):
                 assert scores[i, j] == pytest.approx(want, abs=1e-12)
+
+
+def stepwise_log_likelihood(m, visual, caption):
+    step = caption_step if m.task == "caption" else perstep_decode_step
+    state, prev, total = initial_state(m), m.vocab.bos, 0.0
+    for tok in caption:
+        dist, state = step(m, visual, prev, state)
+        total += math.log(dist[tok])
+        prev = tok
+    return total
+
+
+def count_unrolls(monkeypatch):
+    calls = []
+    unroll = recseq.models._unroll
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return unroll(*args, **kwargs)
+
+    monkeypatch.setattr(recseq.models, "_unroll", counted)
+    return calls
+
+
+class TestBatchedScorePairs:
+    def grid(self, topology):
+        m = build_demo_model(topology, seed=2)
+        batch = build_demo_batch(topology, m, seed=2, n_sequences=5)
+        feats = [batch.example(b)[0] for b in range(len(batch))]
+        if m.task == "caption":
+            feats = [phi_forward(m.extractor, x)[0] for x in feats]
+        eos = m.vocab.eos
+        caps = [(eos,), (0, eos), (2, 1, 0, eos), (1, 1, eos), (0, 2, 2, 1, 0, 1, eos), (3, eos), (2, 0, eos)]
+        return m, feats, caps
+
+    @pytest.mark.parametrize("topology", ["caption_2f", "perstep_decode"])
+    def test_entries_equal_stepwise_sums(self, topology):
+        m, feats, caps = self.grid(topology)
+        scores = score_pairs(m, feats, caps)
+        assert scores.shape == (len(feats), len(caps))
+        for i, feat in enumerate(feats):
+            for j, cap in enumerate(caps):
+                assert scores[i, j] == pytest.approx(stepwise_log_likelihood(m, feat, cap), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("topology", ["caption_2f", "perstep_decode"])
+    def test_one_unroll_per_group_of_pairs(self, monkeypatch, topology):
+        m, feats, caps = self.grid(topology)
+        calls = count_unrolls(monkeypatch)
+        score_pairs(m, feats, caps)
+        assert len(calls) == math.ceil(len(feats) * len(caps) / recseq.models._GROUP)
+
+    def test_empty_sides_keep_their_shape(self):
+        m, feats, caps = self.grid("caption_2f")
+        assert score_pairs(m, [], caps).shape == (0, len(caps))
+        assert score_pairs(m, feats, []).shape == (len(feats), 0)
+
+    def test_wrong_task_is_rejected(self):
+        m = build_demo_model("classify", seed=0)
+        with pytest.raises(ValueError):
+            score_pairs(m, [np.zeros(6)], [(0, 1)])
+        with pytest.raises(ValueError):
+            caption_log_likelihood(m, np.zeros(6), (0, 1))
+
+
+class TestBatchedClassification:
+    LENGTHS = (3, 9, 14, 2, 20, 7, 11, 5, 16, 12, 4, 8, 6, 18, 19, 1, 10, 13)
+
+    def videos(self):
+        m = build_demo_model("classify", seed=4)
+        rng = np.random.default_rng(4)
+        shape = m.extractor.input_shape
+        return m, [LabeledSequence(rng.uniform(-1, 1, (n,) + shape), k % 4) for k, n in enumerate(self.LENGTHS)]
+
+    @pytest.mark.parametrize("clip_len", [None, 4, 6])
+    def test_accuracy_equals_per_video_argmax(self, clip_len):
+        m, videos = self.videos()
+        assert min(len(v.frames) for v in videos) < 4
+        hits = 0
+        for v in videos:
+            dist = classify_sequence(m, v.frames) if clip_len is None else clip_protocol_eval(m, v.frames, clip_len, 3)[0]
+            hits += int(np.argmax(dist)) == v.label
+        assert classification_accuracy(m, videos, clip_len=clip_len, stride=3) == hits / len(videos)
+
+    def test_mixed_lengths_equal_one_sequence_calls(self):
+        m, videos = self.videos()
+        got = recseq.models._late_fusion(m, [v.frames for v in videos])
+        want = np.array([classify_sequence(m, v.frames) for v in videos])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_batched_clips_equal_single_clip_calls(self):
+        m, videos = self.videos()
+        for v in videos[:6]:
+            got, per_clip = clip_protocol_eval(m, v.frames, 4, 3)
+            want = [classify_sequence(m, v.frames[s:s + n]) for s, n in clip_windows(len(v.frames), 4, 3)]
+            np.testing.assert_allclose(np.array(per_clip), np.array(want), rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(got, np.mean(per_clip, axis=0))
+
+    def test_one_unroll_per_group_of_clips(self, monkeypatch):
+        m, videos = self.videos()
+        n_clips = sum(len(clip_windows(len(v.frames), 4, 3)) for v in videos)
+        calls = count_unrolls(monkeypatch)
+        classification_accuracy(m, videos, clip_len=4, stride=3)
+        assert len(calls) == math.ceil(n_clips / recseq.models._GROUP)
+
+    def test_wrong_task_is_rejected(self):
+        m = build_demo_model("caption_1u", seed=0)
+        frames = np.zeros((3, 7))
+        with pytest.raises(ValueError):
+            classify_sequence(m, frames)
+        with pytest.raises(ValueError):
+            clip_protocol_eval(m, frames, 2, 1)
+        with pytest.raises(ValueError):
+            classification_accuracy(m, [LabeledSequence(frames, 0)])
 
 
 class TestFusion:
