@@ -207,7 +207,7 @@ def _cmd_eval(args) -> int:
     if metric == "retrieval":
         if task != "caption":
             raise UsageError("retrieval applies to caption datasets")
-        feats = [phi_forward(m.extractor, ex.image)[0] for ex in examples]
+        feats, _ = phi_forward(m.extractor, np.array([ex.image for ex in examples]))
         captions = [list(ex.tokens) for ex in examples]
         scores = score_pairs(m, feats, captions)
         # An image's correct captions are every caption identical to its own.

@@ -3,7 +3,9 @@
 A recurrent task model sees one feature vector per step. These extractors
 produce that vector from a raw frame (or a static image) and expose exact
 backward passes so the whole pipeline trains jointly. The same parameters
-are applied at every time step.
+are applied at every time step, so every call also takes a stack of frames
+``(N, *input_shape)`` and maps it with one pass of matrix products; a
+single frame runs as a stack of one.
 
 Variants:
   identity   flatten the input, no parameters
@@ -39,7 +41,32 @@ def _uniform_fan_in(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-class IdentityExtractor(NamedParams):
+class _Extractor(NamedParams):
+    """Base of the extractors: one frame or a stack of frames per call.
+
+    Subclasses implement ``_forward`` on a stack ``(N, *input_shape)``,
+    returning ``(N, out_dim)`` and a cache, and ``_backward`` from
+    ``(N, out_dim)`` to the per-frame input gradients and the parameter
+    gradients summed over the frames. A single frame runs as a stack of one.
+    """
+
+    def forward(self, x):
+        x = as_f64(x)
+        if x.shape == self.input_shape:
+            y, cache = self._forward(x[None])
+            return y[0], cache
+        if x.shape[1:] != self.input_shape:
+            raise ValueError(f"extractor expects shape {self.input_shape} or (N,) + {self.input_shape}, got {x.shape}")
+        return self._forward(x)
+
+    def backward(self, cache, d_out):
+        if d_out.ndim == 1:
+            dx, grads = self._backward(cache, d_out[None])
+            return dx[0], grads
+        return self._backward(cache, d_out)
+
+
+class IdentityExtractor(_Extractor):
     """Flattens the input; output dim equals the input size."""
 
     variant = "identity"
@@ -48,17 +75,14 @@ class IdentityExtractor(NamedParams):
         self.input_shape = tuple(int(s) for s in input_shape)
         self.out_dim = int(np.prod(self.input_shape))
 
-    def forward(self, x):
-        x = as_f64(x)
-        if x.shape != self.input_shape:
-            raise ValueError(f"extractor expects shape {self.input_shape}, got {x.shape}")
-        return x.reshape(-1), None
+    def _forward(self, x):
+        return x.reshape(len(x), self.out_dim), None
 
-    def backward(self, cache, d_out):
-        return d_out.reshape(self.input_shape), {}
+    def _backward(self, cache, d_out):
+        return d_out.reshape((len(d_out),) + self.input_shape), {}
 
 
-class LinearExtractor(NamedParams):
+class LinearExtractor(_Extractor):
     """y = W x + b over the flattened input."""
 
     variant = "linear"
@@ -78,20 +102,17 @@ class LinearExtractor(NamedParams):
         in_dim = int(np.prod(input_shape))
         return cls(input_shape, _uniform_fan_in(rng, (out_dim, in_dim), in_dim), np.zeros(out_dim))
 
-    def forward(self, x):
-        x = as_f64(x)
-        if x.shape != self.input_shape:
-            raise ValueError(f"extractor expects shape {self.input_shape}, got {x.shape}")
-        flat = x.reshape(-1)
-        return self.W @ flat + self.b, flat
+    def _forward(self, x):
+        flat = x.reshape(len(x), self.W.shape[1])
+        return flat @ self.W.T + self.b, flat
 
-    def backward(self, cache, d_out):
+    def _backward(self, cache, d_out):
         flat = cache
-        grads = {"W": np.outer(d_out, flat), "b": d_out.copy()}
-        return (self.W.T @ d_out).reshape(self.input_shape), grads
+        grads = {"W": d_out.T @ flat, "b": d_out.sum(axis=0)}
+        return (d_out @ self.W).reshape((len(d_out),) + self.input_shape), grads
 
 
-class Mlp1Extractor(NamedParams):
+class Mlp1Extractor(_Extractor):
     """y = W2 tanh(W1 x + b1) + b2 over the flattened input."""
 
     variant = "mlp1"
@@ -120,99 +141,118 @@ class Mlp1Extractor(NamedParams):
             np.zeros(out_dim),
         )
 
-    def forward(self, x):
-        x = as_f64(x)
-        if x.shape != self.input_shape:
-            raise ValueError(f"extractor expects shape {self.input_shape}, got {x.shape}")
-        flat = x.reshape(-1)
-        hidden = np.tanh(self.W1 @ flat + self.b1)
-        return self.W2 @ hidden + self.b2, (flat, hidden)
+    def _forward(self, x):
+        flat = x.reshape(len(x), self.W1.shape[1])
+        hidden = np.tanh(flat @ self.W1.T + self.b1)
+        return hidden @ self.W2.T + self.b2, (flat, hidden)
 
-    def backward(self, cache, d_out):
+    def _backward(self, cache, d_out):
         flat, hidden = cache
-        d_hidden = (self.W2.T @ d_out) * (1.0 - hidden * hidden)
+        d_hidden = (d_out @ self.W2) * (1.0 - hidden * hidden)
         grads = {
-            "W1": np.outer(d_hidden, flat),
-            "b1": d_hidden,
-            "W2": np.outer(d_out, hidden),
-            "b2": d_out.copy(),
+            "W1": d_hidden.T @ flat,
+            "b1": d_hidden.sum(axis=0),
+            "W2": d_out.T @ hidden,
+            "b2": d_out.sum(axis=0),
         }
-        return (self.W1.T @ d_hidden).reshape(self.input_shape), grads
+        return (d_hidden @ self.W1).reshape((len(d_out),) + self.input_shape), grads
+
+
+def _im2col(x, k):
+    """(N*oh*ow, C*k*k) patch rows of a (N, C, H, W) stack, in (n, i, j) order."""
+    c = x.shape[1]
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))  # (N, C, oh, ow, k, k)
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(-1, c * k * k)
 
 
 def conv2d_valid(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid-padding stride-1 convolution.
+    """Valid-padding stride-1 convolution of every frame in a stack.
 
-    x: (C, H, W); kernels: (F, C, k, k); bias: (F,).
-    Returns (F, H-k+1, W-k+1). Kernels are applied as stated, without
-    flipping (cross-correlation, the usual network convention).
+    x: (..., C, H, W), any number of leading frame axes; kernels:
+    (F, C, k, k); bias: (F,). Returns (..., F, H-k+1, W-k+1). Kernels are
+    applied as stated, without flipping (cross-correlation, the usual
+    network convention). The whole stack is one GEMM over its im2col rows.
     """
     x = as_f64(x)
-    c, h, w = x.shape
+    *lead, c, h, w = x.shape
     f, kc, k, k2 = kernels.shape
     if kc != c or k != k2:
         raise ValueError(f"kernel shape {kernels.shape} does not fit input {x.shape}")
     oh, ow = h - k + 1, w - k + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"kernel {k}x{k} larger than input {h}x{w}")
-    out = np.empty((f, oh, ow))
-    out[:] = bias[:, None, None]
-    for a in range(k):
-        for b in range(k):
-            patch = x[:, a:a + oh, b:b + ow]
-            # (F, C) x (C, oh*ow) accumulated per kernel offset
-            out += (kernels[:, :, a, b] @ patch.reshape(c, -1)).reshape(f, oh, ow)
-    return out
+    frames = x.reshape(-1, c, h, w)
+    out = _im2col(frames, k) @ kernels.reshape(f, -1).T + bias
+    return out.reshape(len(frames), oh, ow, f).transpose(0, 3, 1, 2).reshape(*lead, f, oh, ow)
 
 
 def conv2d_valid_backward(x, kernels, d_out):
-    """Gradients of :func:`conv2d_valid` with respect to x, kernels, bias."""
-    c, h, w = x.shape
+    """Gradients of :func:`conv2d_valid` with respect to x, kernels, bias.
+
+    The kernel and bias gradients are summed over the frames; x's gradient
+    has x's shape.
+    """
+    *_, c, h, w = x.shape
     f, _, k, _ = kernels.shape
-    oh, ow = d_out.shape[1], d_out.shape[2]
-    dx = np.zeros_like(x)
-    dk = np.zeros_like(kernels)
-    db = d_out.sum(axis=(1, 2))
-    dflat = d_out.reshape(f, -1)
+    oh, ow = d_out.shape[-2:]
+    frames = x.reshape(-1, c, h, w)
+    n = len(frames)
+    d_rows = d_out.reshape(n, f, oh * ow).transpose(0, 2, 1).reshape(-1, f)
+    dk = (d_rows.T @ _im2col(frames, k)).reshape(kernels.shape)
+    db = d_rows.sum(axis=0)
+    d_cols = (d_rows @ kernels.reshape(f, -1)).reshape(n, oh, ow, c, k, k)
+    dx = np.zeros((n, c, h, w))
     for a in range(k):
         for b in range(k):
-            patch = x[:, a:a + oh, b:b + ow].reshape(c, -1)
-            dk[:, :, a, b] = dflat @ patch.T
-            dx[:, a:a + oh, b:b + ow] += (kernels[:, :, a, b].T @ dflat).reshape(c, oh, ow)
-    return dx, dk, db
+            dx[:, :, a:a + oh, b:b + ow] += d_cols[..., a, b].transpose(0, 3, 1, 2)
+    return dx.reshape(x.shape), dk, db
 
 
 def maxpool2x2(x: np.ndarray):
     """2x2 max pooling with stride 2; trailing odd rows/columns are dropped.
 
-    Returns (pooled, argmax_flat) where argmax_flat holds, per pooled
-    position, the flat index into x of the selected element (first maximum
-    wins on ties).
+    x: (..., H, W), any number of leading axes. Returns (pooled, argmax)
+    where argmax holds, per pooled position, the row-major position 0..3
+    of the selected element within its 2x2 window (first maximum wins on
+    ties).
     """
-    f, h, w = x.shape
+    *lead, h, w = x.shape
     ph, pw = h // 2, w // 2
     if ph < 1 or pw < 1:
         raise ValueError(f"input {h}x{w} too small for 2x2 pooling")
-    trimmed = x[:, :2 * ph, :2 * pw]
-    windows = trimmed.reshape(f, ph, 2, pw, 2).transpose(0, 1, 3, 2, 4).reshape(f, ph, pw, 4)
-    local = windows.argmax(axis=3)
-    pooled = np.take_along_axis(windows, local[..., None], axis=3)[..., 0]
-    # Convert window-local argmax to flat indices into the unpooled array.
-    fi, pi, pj = np.meshgrid(np.arange(f), np.arange(ph), np.arange(pw), indexing="ij")
-    rows = 2 * pi + local // 2
-    cols = 2 * pj + local % 2
-    argmax_flat = (fi * h + rows) * w + cols
-    return pooled, argmax_flat
+    trimmed = x[..., :2 * ph, :2 * pw]
+    windows = trimmed.reshape(*lead, ph, 2, pw, 2).swapaxes(-3, -2).reshape(*lead, ph, pw, 4)
+    argmax = windows.argmax(axis=-1)
+    pooled = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+    return pooled, argmax
 
 
-def maxpool2x2_backward(x_shape, argmax_flat, d_pooled):
-    """Route pooled gradients back to the selected input positions."""
-    dx = np.zeros(int(np.prod(x_shape)))
-    np.add.at(dx, argmax_flat.ravel(), d_pooled.ravel())
-    return dx.reshape(x_shape)
+def maxpool2x2_backward(x_shape, argmax, d_pooled):
+    """Route pooled gradients back to the selected input positions.
+
+    The windows are disjoint, so each pooled gradient lands on one input
+    position and nothing is accumulated.
+    """
+    *lead, ph, pw = argmax.shape
+    d_windows = np.where(argmax[..., None] == np.arange(4), d_pooled[..., None], 0.0)
+    dx = np.zeros(x_shape)
+    dx[..., :2 * ph, :2 * pw] = d_windows.reshape(*lead, ph, pw, 2, 2).swapaxes(-3, -2).reshape(*lead, 2 * ph, 2 * pw)
+    return dx
 
 
-class SmallConvExtractor(NamedParams):
+def _pooled_hw(input_shape, k):
+    """(H, W) after a valid k x k convolution and a 2x2 pool of (C, H, W) frames."""
+    if len(input_shape) != 3:
+        raise ValueError(f"smallconv input must be (C, H, W), got {tuple(input_shape)}")
+    _, h, w = input_shape
+    ph, pw = (h - k + 1) // 2, (w - k + 1) // 2
+    if ph < 1 or pw < 1:
+        raise ValueError(f"smallconv frames of shape {tuple(input_shape)} are too small for a {k}x{k} kernel "
+                         f"and a 2x2 pool (need at least {k + 1}x{k + 1})")
+    return ph, pw
+
+
+class SmallConvExtractor(_Extractor):
     """Convolution, 2x2 max pool, then an affine head.
 
     Input shape must be (C, H, W). The max pool is the only nonlinearity;
@@ -224,34 +264,30 @@ class SmallConvExtractor(NamedParams):
     PARAMS = ("kernels", "conv_bias", "W", "b")
 
     def __init__(self, input_shape, kernels, conv_bias, W, b):
-        if len(input_shape) != 3:
-            raise ValueError(f"smallconv input must be (C, H, W), got {input_shape}")
         self.input_shape = tuple(int(s) for s in input_shape)
         self.kernels = as_f64(kernels)
         self.conv_bias = as_f64(conv_bias)
         self.W = as_f64(W)
         self.b = as_f64(b)
-        c, h, w = self.input_shape
         f, kc, k, _ = self.kernels.shape
-        if kc != c:
+        ph, pw = _pooled_hw(self.input_shape, k)
+        if kc != self.input_shape[0]:
             raise ValueError("kernel channel count does not match input")
         self.kernel_size = k
         self.n_filters = f
-        oh, ow = h - k + 1, w - k + 1
-        self.pooled_shape = (f, oh // 2, ow // 2)
-        flat = int(np.prod(self.pooled_shape))
+        flat = f * ph * pw
         if self.W.shape[1] != flat:
             raise ValueError(f"head expects {self.W.shape[1]} inputs, pool produces {flat}")
         self.out_dim = self.W.shape[0]
 
     @classmethod
     def init(cls, input_shape, out_dim, rng, n_filters=4, kernel_size=3):
-        c, h, w = input_shape
         k = kernel_size
+        ph, pw = _pooled_hw(input_shape, k)
+        c = input_shape[0]
         fan_in = c * k * k
         kernels = _uniform_fan_in(rng, (n_filters, c, k, k), fan_in)
-        oh, ow = h - k + 1, w - k + 1
-        flat = n_filters * (oh // 2) * (ow // 2)
+        flat = n_filters * ph * pw
         return cls(
             input_shape,
             kernels,
@@ -260,26 +296,22 @@ class SmallConvExtractor(NamedParams):
             np.zeros(out_dim),
         )
 
-    def forward(self, x):
-        x = as_f64(x)
-        if x.shape != self.input_shape:
-            raise ValueError(f"extractor expects shape {self.input_shape}, got {x.shape}")
+    def _forward(self, x):
         conv = conv2d_valid(x, self.kernels, self.conv_bias)
         pooled, argmax = maxpool2x2(conv)
-        flat = pooled.reshape(-1)
-        return self.W @ flat + self.b, (x, conv.shape, argmax, flat)
+        flat = pooled.reshape(len(x), -1)
+        return flat @ self.W.T + self.b, (x, conv.shape, argmax, flat)
 
-    def backward(self, cache, d_out):
+    def _backward(self, cache, d_out):
         x, conv_shape, argmax, flat = cache
-        d_flat = self.W.T @ d_out
-        d_pooled = d_flat.reshape(self.pooled_shape)
+        d_pooled = (d_out @ self.W).reshape(argmax.shape)
         d_conv = maxpool2x2_backward(conv_shape, argmax, d_pooled)
         dx, dk, dcb = conv2d_valid_backward(x, self.kernels, d_conv)
         grads = {
             "kernels": dk,
             "conv_bias": dcb,
-            "W": np.outer(d_out, flat),
-            "b": d_out.copy(),
+            "W": d_out.T @ flat,
+            "b": d_out.sum(axis=0),
         }
         return dx, grads
 
@@ -302,10 +334,18 @@ def make_extractor(variant, input_shape, out_dim=None, rng=None, **kwargs):
 
 
 def phi_forward(extractor, x):
-    """Apply an extractor to one raw input. Returns (vector, cache)."""
+    """Apply an extractor to one raw input or a stack of them. Returns (vectors, cache).
+
+    ``x`` of the extractor's input shape gives one vector; a stack
+    ``(N, *input_shape)`` gives ``(N, out_dim)`` rows from one call.
+    """
     return extractor.forward(x)
 
 
 def phi_backward(extractor, cache, d_out):
-    """Backward through :func:`phi_forward`. Returns (d_x, param grads)."""
+    """Backward through :func:`phi_forward`. Returns (d_x, param grads).
+
+    For a stack, ``d_out`` is ``(N, out_dim)``, ``d_x`` holds one row per
+    frame and the parameter gradients are summed over the frames.
+    """
     return extractor.backward(cache, d_out)

@@ -612,9 +612,11 @@ def _batch_plan(m: ModelSpec, batch):
       targets  (T, B) class or token ids, -1 where a step emits nothing;
       prev     (T, B) token whose embedding fills the leading slot of a
                step's input, -1 for none (None for classification);
-      phi      (cache, t, b) per extractor call: its output was the whole
-               input of step t of example b or, for t None, example b's
-               visual vector (injected, else the trailing slot of every step).
+      phi      (cache, rows) of the group's one extractor call, or None:
+               for rows (t, b) index arrays, output row i was the whole input
+               of step t[i] of example b[i]; for rows None, row b was example
+               b's visual vector (injected, else the trailing slot of every
+               step).
     """
     B = len(batch)
     if m.task == "classify":
@@ -625,12 +627,10 @@ def _batch_plan(m: ModelSpec, batch):
         if bad.any():
             raise ValueError(f"label {labels[bad][0]} out of range for {m.prediction.n_out} classes")
         xs = np.zeros((steps.max(), B, m.extractor.out_dim))
-        phi = []
-        for b, n in enumerate(steps):
-            for t in range(n):
-                xs[t, b], cache = phi_forward(m.extractor, batch.inputs[b, t])
-                phi.append((cache, t, b))
-        return xs, None, np.where(np.arange(len(xs))[:, None] < steps, labels, -1), None, phi, steps
+        real = np.arange(len(xs))[:, None] < steps
+        t, b = np.nonzero(real)
+        xs[t, b], cache = phi_forward(m.extractor, batch.inputs[b, t])
+        return xs, None, np.where(real, labels, -1), None, (cache, (t, b)), steps
 
     tokens, lengths = batch.targets, batch.target_lengths
     _check_tokens(m, tokens, lengths)
@@ -648,7 +648,7 @@ def _batch_plan(m: ModelSpec, batch):
     prev[t_idx, b_idx] = np.where(j_idx == 0, m.vocab.bos, tokens[b_idx, j_idx - 1])
 
     d_e = m.embedding.dim
-    inject, phi = None, []
+    inject, phi = None, None
     if m.task == "encode_decode":
         # Inputs are zero-padded: the slot is empty after each example's last input.
         xs = np.zeros((len(targets), B, d_e + m.input_dim))
@@ -656,9 +656,8 @@ def _batch_plan(m: ModelSpec, batch):
         xs[:n_in, :, d_e:] = batch.inputs[:, :n_in].swapaxes(0, 1)
     else:
         if batch.task == m.task == "caption":  # a perstep_decode batch holds extracted vectors
-            outs = [phi_forward(m.extractor, x) for x in batch.inputs]
-            visual = np.array([v for v, _ in outs])
-            phi = [(cache, None, b) for b, (_, cache) in enumerate(outs)]
+            visual, cache = phi_forward(m.extractor, batch.inputs)
+            phi = (cache, None)
         else:
             visual = np.array([_check_visual(m, v) for v in batch.inputs])
         if m.factored:
@@ -734,12 +733,13 @@ def sequence_loss_and_grads(m: ModelSpec, example, grads: ModelGrads | None = No
         if prev is not None:
             t_e, b_e = np.nonzero(prev >= 0)
             np.add.at(grads.embedding.W_e.T, prev[t_e, b_e], d_xs[t_e, b_e, :d_e])
-        for cache, t, b in phi:
-            if t is not None:
-                dv = d_xs[t, b]
+        if phi is not None:
+            cache, rows = phi
+            if rows is not None:
+                dv = d_xs[rows]
             elif d_inject is not None:
-                dv = d_inject[b]
+                dv = d_inject
             else:
-                dv = d_xs[:, b, d_e:].sum(axis=0)
+                dv = d_xs[..., d_e:].sum(axis=0)
             grads.add_extractor(phi_backward(m.extractor, cache, dv)[1])
     return (nll, per_step) if batch is example else (nll, per_step[0])

@@ -165,6 +165,16 @@ def _sample_copy(tmp_path, capsys, *flags):
     return ["generate", "--model", str(ckpt), "--data", str(d), "--strategy", "sample", *flags]
 
 
+def _smallconv_on_tiny_frames(tmp_path, capsys):
+    # A 3x3 kernel leaves 1x1 maps of (1, 3, 3) frames: nothing to pool.
+    rng = np.random.default_rng(0)
+    d = tmp_path / "tiny"
+    save_task_dir(d, "classify", [LabeledSequence(rng.standard_normal((3, 1, 3, 3)), k % 2) for k in range(4)],
+                  meta={"classes": 2})
+    return ["train", "--data", str(d), "--out", str(tmp_path / "m.ckpt"), "--extractor", "smallconv",
+            "--extractor-dim", "4", "--hidden", "3", "--epochs", "1"]
+
+
 _PCG64_STATE = {"state": 1, "inc": 1}
 
 
@@ -180,6 +190,7 @@ BAD_INVOCATIONS = [
     ("hidden_zero", lambda t, c: _train_order(t, c, "--hidden", "0"), 1),
     ("extractor_dim_zero", lambda t, c: _train_order(t, c, "--extractor", "linear", "--extractor-dim", "0"), 1),
     ("smallconv_on_flat_frames", lambda t, c: _train_order(t, c, "--extractor", "smallconv", "--extractor-dim", "4"), 1),
+    ("smallconv_frames_too_small", _smallconv_on_tiny_frames, 1),
     ("inject_layer_flag_is_gone", lambda t, c: _train_order(t, c, "--inject-layer", "2"), 1),
     ("non_finite_parameters", _overflowing_update, 3),
     ("label_out_of_range", lambda t, c: _train_order(

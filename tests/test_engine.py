@@ -11,15 +11,16 @@ import pytest
 
 from recseq.data import CaptionPair, LabeledSequence, SeqPair, SequenceBatch, example_tuple
 import recseq.models
-from recseq.models import ModelGrads, sequence_loss_and_grads
+from recseq.features import make_extractor
+from recseq.models import ModelGrads, Vocabulary, build_model, sequence_loss_and_grads
 from recseq.training import GRADCHECK_TOPOLOGIES, TrainConfig, _sgd_step, build_demo_batch, build_demo_model
 
 CASES = [(topology, cell) for topology in GRADCHECK_TOPOLOGIES for cell in ("lstm", "rnn")]
 TOL = 1e-12
 
 
-def ragged_batch(topology, m):
-    batch = build_demo_batch(topology, m, seed=4, n_sequences=5)
+def ragged_batch(topology, m, n_sequences=5):
+    batch = build_demo_batch(topology, m, seed=4, n_sequences=n_sequences)
     lengths = batch.input_lengths if topology == "classify" else batch.target_lengths
     assert len(set(lengths.tolist())) > 1, "the batch must be ragged"
     return batch
@@ -62,10 +63,7 @@ def summed_example_grads(m, examples, drop=None):
     return [nll for nll, _ in out], [steps for _, steps in out], grads.params
 
 
-@pytest.mark.parametrize("topology,cell", CASES)
-def test_batch_gradient_is_the_sum_of_example_gradients(topology, cell):
-    m = build_demo_model(topology, seed=3, cell=cell)
-    examples = examples_of(ragged_batch(topology, m))
+def assert_batch_is_the_sum_of_examples(m, examples):
     nll, per_step, grads = batch_grads(m, examples)
     nlls, want_steps, want = summed_example_grads(m, examples)
     assert np.max(np.abs(grads - want)) <= TOL
@@ -73,6 +71,65 @@ def test_batch_gradient_is_the_sum_of_example_gradients(topology, cell):
     for got, expected in zip(per_step, want_steps):
         assert len(got) == len(expected)
         assert np.max(np.abs(np.subtract(got, expected))) <= TOL
+
+
+def smallconv_model(topology, cell):
+    """A demo-sized classify or caption model over (1, 6, 6) frames through smallconv."""
+    rng = np.random.default_rng(3)
+    ext = make_extractor("smallconv", (1, 6, 6), out_dim=5, rng=rng, n_filters=2, kernel_size=3)
+    if topology == "classify":
+        return build_model("classify", rng=rng, hidden=8, layers=2, cell=cell, extractor=ext, n_classes=4)
+    return build_model("caption", rng=rng, hidden=8, layers=1 if topology == "caption_1u" else 2, cell=cell,
+                       extractor=ext, vocab=Vocabulary.from_words(["w0", "w1", "w2", "w3"]), embed_dim=5,
+                       factored=topology == "caption_2f")
+
+
+SMALLCONV_CASES = [(topology, cell) for topology in ("classify", "caption_1u", "caption_2u", "caption_2f")
+                   for cell in ("lstm", "rnn")]
+
+
+@pytest.mark.parametrize("topology,cell", CASES)
+def test_batch_gradient_is_the_sum_of_example_gradients(topology, cell):
+    m = build_demo_model(topology, seed=3, cell=cell)
+    assert_batch_is_the_sum_of_examples(m, examples_of(ragged_batch(topology, m)))
+
+
+@pytest.mark.parametrize("topology,cell", SMALLCONV_CASES)
+def test_smallconv_batch_gradient_is_the_sum_of_example_gradients(topology, cell):
+    # Eight sequences: the first five captions of this seed all have three tokens.
+    m = smallconv_model(topology, cell)
+    assert_batch_is_the_sum_of_examples(m, examples_of(ragged_batch(topology, m, n_sequences=8)))
+
+
+@pytest.mark.parametrize("topology", ["classify", "caption_2u", "caption_2f"])
+def test_one_extractor_call_each_way_per_group(topology, monkeypatch):
+    # 40 sequences run as groups of 16, 16 and 8: one stacked phi_forward and
+    # one phi_backward per group, through the names recseq.models binds.
+    m = smallconv_model(topology, "lstm")
+    batch = build_demo_batch(topology, m, seed=5, n_sequences=40)
+    calls = {"forward": [], "backward": []}
+    forward, backward = recseq.models.phi_forward, recseq.models.phi_backward
+
+    def counted_forward(ext, x):
+        calls["forward"].append(len(x))
+        return forward(ext, x)
+
+    def counted_backward(ext, cache, d_out):
+        calls["backward"].append(len(d_out))
+        return backward(ext, cache, d_out)
+
+    monkeypatch.setattr(recseq.models, "phi_forward", counted_forward)
+    monkeypatch.setattr(recseq.models, "phi_backward", counted_backward)
+    sequence_loss_and_grads(m, batch, ModelGrads(m))
+    groups = [batch[lo:lo + recseq.models._GROUP] for lo in range(0, len(batch), recseq.models._GROUP)]
+    assert len(groups) == 3
+    # a classify group extracts each of its real frames once, a caption group each image once
+    rows = [int(g.input_lengths.sum()) if topology == "classify" else len(g) for g in groups]
+    assert calls == {"forward": rows, "backward": rows}
+    if topology == "classify":
+        calls["forward"].clear()
+        recseq.models._late_fusion(m, [frames for frames, _ in examples_of(batch)])
+        assert calls["forward"] == rows
 
 
 @pytest.mark.parametrize("topology,cell", CASES)

@@ -1,5 +1,7 @@
 """Feature extractors: forward arithmetic and exact backward passes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,94 @@ def test_joint_training_moves_extractor_weights():
     pairs = [CaptionPair(rng.uniform(-1, 1, 3), (0, 1, vocab.eos)) for _ in range(4)]
     fit(m, pairs, TrainConfig(lr=0.2, epochs=3, batch_size=2, seed=0))
     assert not np.allclose(before, m.extractor.W)
+
+
+# Stacks: N frames in one call against N one-frame calls.
+VARIANTS = {
+    "identity": lambda rng: IdentityExtractor((2, 3)),
+    "linear": lambda rng: LinearExtractor.init((5,), 3, rng),
+    "mlp1": lambda rng: Mlp1Extractor.init((2, 2), 3, rng, hidden_dim=6),
+    # odd height and width: the pool drops a trailing row and column
+    "smallconv": lambda rng: SmallConvExtractor.init((2, 8, 7), 4, rng, n_filters=3, kernel_size=2),
+    "smallconv_k3": lambda rng: SmallConvExtractor.init((1, 8, 8), 5, rng, n_filters=4, kernel_size=3),
+}
+N_FRAMES = 7
+
+
+def _stack_case(variant, seed=7):
+    rng = np.random.default_rng(seed)
+    ext = VARIANTS[variant](rng)
+    return ext, rng.uniform(-1, 1, (N_FRAMES,) + ext.input_shape), rng
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stack_forward_equals_one_frame_calls(variant):
+    ext, frames, _ = _stack_case(variant)
+    stacked, _ = phi_forward(ext, frames)
+    single = np.array([phi_forward(ext, frame)[0] for frame in frames])
+    assert stacked.shape == (N_FRAMES, ext.out_dim)
+    assert np.max(np.abs(stacked - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stack_backward_equals_per_frame_sums(variant):
+    ext, frames, rng = _stack_case(variant)
+    d_out = rng.uniform(-1, 1, (N_FRAMES, ext.out_dim))
+    _, cache = phi_forward(ext, frames)
+    dx, grads = phi_backward(ext, cache, d_out)
+    assert dx.shape == frames.shape
+    want = {name: np.zeros_like(a) for name, a in ext.blocks()}
+    for frame, d, row in zip(frames, d_out, dx):
+        dx_one, grads_one = phi_backward(ext, phi_forward(ext, frame)[1], d)
+        assert np.max(np.abs(row - dx_one)) <= 1e-12
+        for name in want:
+            want[name] += grads_one[name]
+    assert sorted(grads) == sorted(want)
+    for name, a in want.items():
+        assert grads[name].shape == a.shape
+        assert np.max(np.abs(grads[name] - a)) <= 1e-12, name
+
+
+def test_stack_pool_tie_takes_the_first_maximum():
+    x = np.zeros((3, 2, 2, 4))
+    x[1, 1] = [[7.0, 7.0, 1.0, 3.0], [7.0, 7.0, 3.0, 3.0]]
+    pooled, argmax = maxpool2x2(x)
+    assert pooled.shape == (3, 2, 1, 2)
+    assert pooled[1, 1, 0, 0] == 7.0 and pooled[1, 1, 0, 1] == 3.0
+    dx = maxpool2x2_backward(x.shape, argmax, np.full(pooled.shape, 2.0))
+    assert dx[1, 1, 0, 0] == 2.0 and dx[1, 1, 0, 3] == 2.0
+    assert np.sum(dx[1, 1]) == 4.0
+    # the other all-zero windows tie too; each routes to its first element
+    assert np.array_equal(dx[0, 0], [[2.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+
+
+def test_stack_conv_equals_one_frame_convolutions():
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1, 1, (4, 2, 5, 6))
+    kernels = rng.uniform(-1, 1, (3, 2, 3, 3))
+    bias = rng.uniform(-1, 1, 3)
+    out = conv2d_valid(x, kernels, bias)
+    assert out.shape == (4, 3, 3, 4)
+    for frame, got in zip(x, out):
+        want = conv2d_valid(frame, kernels, bias)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # one output element at a time, as the definition reads
+        for f, i, j in np.ndindex(got.shape):
+            assert abs(got[f, i, j] - (np.sum(frame[:, i:i + 3, j:j + 3] * kernels[f]) + bias[f])) <= 1e-14
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stack_of_the_wrong_frame_shape_is_rejected(variant):
+    ext, frames, _ = _stack_case(variant)
+    assert phi_forward(ext, frames)[0].shape == (N_FRAMES, ext.out_dim)
+    wrong = np.zeros(frames.shape[:-1] + (frames.shape[-1] + 1,))
+    with pytest.raises(ValueError, match="extractor expects shape"):
+        phi_forward(ext, wrong)
+    with pytest.raises(ValueError, match="extractor expects shape"):
+        phi_forward(ext, frames[None])
+
+
+@pytest.mark.parametrize("shape,kernel_size", [((1, 3, 3), 3), ((1, 3, 9), 3), ((2, 9, 2), 2)])
+def test_smallconv_rejects_frames_too_small_for_kernel_and_pool(shape, kernel_size):
+    with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*{kernel_size}x{kernel_size} kernel"):
+        make_extractor("smallconv", shape, out_dim=3, rng=np.random.default_rng(9), kernel_size=kernel_size)
