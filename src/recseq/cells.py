@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import NamedParams, as_f64, dropout_mask, sigmoid
+from .tensor_ops import NamedParams, as_f64, dropout_mask, sigmoid, uniform_fan_in
 
 __all__ = [
     "GateActivations",
@@ -49,11 +49,6 @@ __all__ = [
 ]
 
 _INIT_FORGET_BIAS = 1.0
-
-
-def _uniform_fan_in(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(float(fan_in))
-    return rng.uniform(-bound, bound, size=shape)
 
 
 @dataclass(frozen=True)
@@ -110,8 +105,8 @@ class LstmCellParams(NamedParams):
         the memory cell carries information early in training.
         """
         p = cls(
-            _uniform_fan_in(rng, (4 * n_hidden, n_input), n_input),
-            _uniform_fan_in(rng, (4 * n_hidden, n_hidden), n_hidden),
+            uniform_fan_in(rng, (4 * n_hidden, n_input), n_input),
+            uniform_fan_in(rng, (4 * n_hidden, n_hidden), n_hidden),
             np.zeros(4 * n_hidden),
         )
         p.b_f[:] = _INIT_FORGET_BIAS
@@ -178,8 +173,8 @@ class RnnCellParams(NamedParams):
     @classmethod
     def init(cls, n_hidden: int, n_input: int, rng: np.random.Generator, nonlinearity: str = "tanh") -> "RnnCellParams":
         return cls(
-            _uniform_fan_in(rng, (n_hidden, n_input), n_input),
-            _uniform_fan_in(rng, (n_hidden, n_hidden), n_hidden),
+            uniform_fan_in(rng, (n_hidden, n_input), n_input),
+            uniform_fan_in(rng, (n_hidden, n_hidden), n_hidden),
             np.zeros(n_hidden),
             nonlinearity,
         )

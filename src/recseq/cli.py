@@ -18,6 +18,7 @@ file values, and file values override the built-in defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -40,6 +41,7 @@ from .evaluation import (
     classification_accuracy,
     corpus_bleu,
     exact_match_rate,
+    greedy_corpus,
     retrieval_metrics,
     score_pairs,
     ScoreMatrix,
@@ -71,23 +73,24 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# key -> (cast, default); flags override file values override defaults
+# key -> (cast, default, choices); each key is also the flag --key (with
+# dashes), and flags override file values override defaults
 _TRAIN_SCHEMA = {
-    "hidden": (int, 32),
-    "layers": (int, 1),
-    "cell": (str, "lstm"),
-    "rnn_nonlinearity": (str, "tanh"),
-    "extractor": (str, "identity"),
-    "extractor_dim": (int, None),
-    "embed_dim": (int, 16),
-    "factored": (_parse_bool, False),
-    "epochs": (int, 10),
-    "lr": (float, 0.1),
-    "batch_size": (int, 16),
-    "dropout": (float, 0.0),
-    "seed": (int, 0),
-    "clip_norm": (float, None),
-    "clip_len": (int, None),
+    "hidden": (int, 32, None),
+    "layers": (int, 1, None),
+    "cell": (str, "lstm", ("lstm", "rnn")),
+    "rnn_nonlinearity": (str, "tanh", ("tanh", "sigmoid")),
+    "extractor": (str, "identity", ("identity", "linear", "mlp1", "smallconv")),
+    "extractor_dim": (int, None, None),
+    "embed_dim": (int, 16, None),
+    "factored": (_parse_bool, False, None),
+    "epochs": (int, 10, None),
+    "lr": (float, 0.1, None),
+    "batch_size": (int, 16, None),
+    "dropout": (float, 0.0, None),
+    "seed": (int, 0, None),
+    "clip_norm": (float, None, None),
+    "clip_len": (int, None, None),
 }
 
 
@@ -97,7 +100,7 @@ def _resolve_train_options(args) -> dict:
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     resolved = {}
-    for key, (cast, default) in _TRAIN_SCHEMA.items():
+    for key, (cast, default, _) in _TRAIN_SCHEMA.items():
         flag_value = getattr(args, key)
         if flag_value is not None:
             resolved[key] = flag_value
@@ -137,15 +140,7 @@ def _cmd_train(args) -> int:
     opts = _resolve_train_options(args)
     task, examples, aux = load_task_dir(args.data)
     m = _build_from_data(task, examples, aux, opts)
-    cfg = TrainConfig(
-        lr=opts["lr"],
-        epochs=opts["epochs"],
-        batch_size=opts["batch_size"],
-        dropout=opts["dropout"],
-        seed=opts["seed"],
-        clip_norm=opts["clip_norm"],
-        clip_len=opts["clip_len"],
-    )
+    cfg = TrainConfig(**{f.name: opts[f.name] for f in dataclasses.fields(TrainConfig) if f.name in opts})
     m, reports = fit(m, examples, cfg, log=sys.stdout)
     save_checkpoint(args.out, m, step=len(reports))
     print(f"saved {args.out}")
@@ -196,12 +191,9 @@ def _cmd_eval(args) -> int:
             rate = exact_match_rate(m, examples, max_len)
             print(f"exact_match {rate:.6f}")
             return 0
-        hyps = []
-        refs = []
-        for ex in examples:
-            features, targets = example_tuple(ex)
-            hyps.append(_strip_eos(m, greedy_decode(m, features, max_len).tokens))
-            refs.append([_strip_eos(m, targets)])
+        pairs = greedy_corpus(m, examples, max_len)
+        hyps = [_strip_eos(m, hyp) for hyp, _ in pairs]
+        refs = [[_strip_eos(m, gold)] for _, gold in pairs]
         print(f"bleu {corpus_bleu(hyps, refs, max_n=args.max_n):.6f}")
         return 0
     if metric == "retrieval":
@@ -297,21 +289,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--cell", choices=("lstm", "rnn"))
-    p.add_argument("--rnn-nonlinearity", choices=("tanh", "sigmoid"), dest="rnn_nonlinearity")
-    p.add_argument("--extractor", choices=("identity", "linear", "mlp1", "smallconv"))
-    p.add_argument("--extractor-dim", type=int, dest="extractor_dim")
-    p.add_argument("--embed-dim", type=int, dest="embed_dim")
-    p.add_argument("--factored", action="store_const", const=True, default=None)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--clip-norm", type=float, dest="clip_norm")
-    p.add_argument("--clip-len", type=int, dest="clip_len")
+    for key, (cast, _, choices) in _TRAIN_SCHEMA.items():
+        flag = "--" + key.replace("_", "-")
+        if cast is _parse_bool:  # a bare switch
+            p.add_argument(flag, action="store_const", const=True, default=None, dest=key)
+        else:
+            p.add_argument(flag, type=cast, choices=choices, dest=key)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a dataset")

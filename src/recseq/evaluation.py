@@ -31,6 +31,7 @@ __all__ = [
     "fuse_streams",
     "clip_windows",
     "clip_protocol_eval",
+    "greedy_corpus",
     "exact_match_rate",
     "classification_accuracy",
 ]
@@ -218,17 +219,16 @@ def clip_protocol_eval(m: ModelSpec, frames, clip_len: int = 16, stride: int = 8
     return np.mean(dists, axis=0), dists
 
 
+def greedy_corpus(m: ModelSpec, examples, max_len: int) -> list:
+    """(greedy decode, gold tokens) of each example, as token tuples."""
+    return [(greedy_decode(m, x, max_len).tokens, tuple(y)) for x, y in map(example_tuple, examples)]
+
+
 def exact_match_rate(m: ModelSpec, examples, max_len: int) -> float:
     """Fraction of examples whose greedy decode equals the gold tokens."""
     if not examples:
         raise ValueError("no examples to evaluate")
-    hits = 0
-    for ex in examples:
-        features, targets = example_tuple(ex)
-        hyp = greedy_decode(m, features, max_len)
-        if hyp.tokens == tuple(targets):
-            hits += 1
-    return hits / len(examples)
+    return sum(hyp == gold for hyp, gold in greedy_corpus(m, examples, max_len)) / len(examples)
 
 
 def classification_accuracy(m: ModelSpec, examples, clip_len: int | None = None, stride: int = 8) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_ops import NamedParams, as_f64
+from .tensor_ops import NamedParams, as_f64, uniform_fan_in
 
 __all__ = [
     "IdentityExtractor",
@@ -34,11 +34,6 @@ __all__ = [
     "maxpool2x2",
     "maxpool2x2_backward",
 ]
-
-
-def _uniform_fan_in(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(float(fan_in))
-    return rng.uniform(-bound, bound, size=shape)
 
 
 class _Extractor(NamedParams):
@@ -100,7 +95,7 @@ class LinearExtractor(_Extractor):
     @classmethod
     def init(cls, input_shape, out_dim, rng):
         in_dim = int(np.prod(input_shape))
-        return cls(input_shape, _uniform_fan_in(rng, (out_dim, in_dim), in_dim), np.zeros(out_dim))
+        return cls(input_shape, uniform_fan_in(rng, (out_dim, in_dim), in_dim), np.zeros(out_dim))
 
     def _forward(self, x):
         flat = x.reshape(len(x), self.W.shape[1])
@@ -135,9 +130,9 @@ class Mlp1Extractor(_Extractor):
         in_dim = int(np.prod(input_shape))
         return cls(
             input_shape,
-            _uniform_fan_in(rng, (hidden_dim, in_dim), in_dim),
+            uniform_fan_in(rng, (hidden_dim, in_dim), in_dim),
             np.zeros(hidden_dim),
-            _uniform_fan_in(rng, (out_dim, hidden_dim), hidden_dim),
+            uniform_fan_in(rng, (out_dim, hidden_dim), hidden_dim),
             np.zeros(out_dim),
         )
 
@@ -286,13 +281,13 @@ class SmallConvExtractor(_Extractor):
         ph, pw = _pooled_hw(input_shape, k)
         c = input_shape[0]
         fan_in = c * k * k
-        kernels = _uniform_fan_in(rng, (n_filters, c, k, k), fan_in)
+        kernels = uniform_fan_in(rng, (n_filters, c, k, k), fan_in)
         flat = n_filters * ph * pw
         return cls(
             input_shape,
             kernels,
             np.zeros(n_filters),
-            _uniform_fan_in(rng, (out_dim, flat), flat),
+            uniform_fan_in(rng, (out_dim, flat), flat),
             np.zeros(out_dim),
         )
 

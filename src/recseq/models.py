@@ -42,7 +42,7 @@ import numpy as np
 
 from .cells import LstmCellParams, RecurrentState, RnnCellParams, _unroll, _unroll_backward
 from .features import phi_backward, phi_forward
-from .tensor_ops import NamedParams, as_f64, log_softmax, softmax
+from .tensor_ops import NamedParams, as_f64, log_softmax, softmax, uniform_fan_in
 
 __all__ = [
     "BOS_TOKEN",
@@ -157,8 +157,7 @@ class EmbeddingParams(NamedParams):
 
     @classmethod
     def init(cls, dim: int, vocab_size: int, rng: np.random.Generator) -> "EmbeddingParams":
-        bound = 1.0 / np.sqrt(float(vocab_size))
-        return cls(rng.uniform(-bound, bound, size=(dim, vocab_size)))
+        return cls(uniform_fan_in(rng, (dim, vocab_size), vocab_size))
 
 
 class PredictionParams(NamedParams):
@@ -175,8 +174,7 @@ class PredictionParams(NamedParams):
 
     @classmethod
     def init(cls, n_out: int, in_dim: int, rng: np.random.Generator) -> "PredictionParams":
-        bound = 1.0 / np.sqrt(float(in_dim))
-        return cls(rng.uniform(-bound, bound, size=(n_out, in_dim)), np.zeros(n_out))
+        return cls(uniform_fan_in(rng, (n_out, in_dim), in_dim), np.zeros(n_out))
 
 
 def embed(e: EmbeddingParams, token: int) -> np.ndarray:
@@ -420,15 +418,6 @@ def initial_state(m: ModelSpec) -> RecurrentState:
     return RecurrentState.zeros(m.cells)
 
 
-def _logits(m: ModelSpec, top_h: np.ndarray) -> np.ndarray:
-    return m.prediction.W_z @ top_h + m.prediction.b_z
-
-
-def _check_token(m: ModelSpec, token: int):
-    if not 0 <= token < m.vocab.size:
-        raise ValueError(f"token id {token} out of range for vocabulary of {m.vocab.size}")
-
-
 def _check_visual(m: ModelSpec, v: np.ndarray) -> np.ndarray:
     """The static visual vector, shape checked; per-step probability blocks
     must each be normalized."""
@@ -454,15 +443,23 @@ def _check_encoder_inputs(m: ModelSpec, inputs) -> np.ndarray:
     return inputs
 
 
-def _decode_step(m: ModelSpec, visual: np.ndarray, prev_token: int, state: RecurrentState):
-    """Shared single step for caption and per-step decode wiring."""
-    _check_token(m, prev_token)
-    e = m.embedding.W_e[:, prev_token]
+def _decode_step(m: ModelSpec, slot: np.ndarray, prev_token: int, state: RecurrentState):
+    """One step of every token task: the embedded previous token next to
+    ``slot``, which a factored model injects into layer 2 instead.
+    Returns (logits, new state)."""
+    e = embed(m.embedding, prev_token)
     if m.factored:
-        hs, new_state, _ = _unroll(m.cells, [e], initial=state, inject=visual, inject_layer=m.inject_layer - 1)
+        hs, new_state, _ = _unroll(m.cells, [e], initial=state, inject=slot, inject_layer=m.inject_layer - 1)
     else:
-        hs, new_state, _ = _unroll(m.cells, [np.concatenate([e, visual])], initial=state)
-    return _logits(m, hs[-1][0]), new_state
+        hs, new_state, _ = _unroll(m.cells, [np.concatenate([e, slot])], initial=state)
+    return m.prediction.W_z @ hs[-1][0] + m.prediction.b_z, new_state
+
+
+def _visual_step(m: ModelSpec, task: str, visual: np.ndarray, prev_token: int, state: RecurrentState):
+    if m.task != task:
+        raise ValueError(f"{task}_step called on a {m.task} model")
+    logits, new_state = _decode_step(m, _check_visual(m, visual), prev_token, state)
+    return softmax(logits), new_state
 
 
 def caption_step(m: ModelSpec, img_feat: np.ndarray, prev_token: int, state: RecurrentState):
@@ -471,18 +468,12 @@ def caption_step(m: ModelSpec, img_feat: np.ndarray, prev_token: int, state: Rec
     img_feat is the extracted image feature (the same vector at every
     step). Returns (distribution over the vocabulary, new state).
     """
-    if m.task != "caption":
-        raise ValueError(f"caption_step called on a {m.task} model")
-    logits, new_state = _decode_step(m, _check_visual(m, img_feat), prev_token, state)
-    return softmax(logits), new_state
+    return _visual_step(m, "caption", img_feat, prev_token, state)
 
 
 def perstep_decode_step(m: ModelSpec, visual_vec: np.ndarray, prev_token: int, state: RecurrentState):
     """One decoding step driven by a precomputed per-class score vector."""
-    if m.task != "perstep_decode":
-        raise ValueError(f"perstep_decode_step called on a {m.task} model")
-    logits, new_state = _decode_step(m, _check_visual(m, visual_vec), prev_token, state)
-    return softmax(logits), new_state
+    return _visual_step(m, "perstep_decode", visual_vec, prev_token, state)
 
 
 def caption_log_likelihood(m: ModelSpec, img_feat: np.ndarray, tokens) -> float:
@@ -557,36 +548,28 @@ def make_stepper(m: ModelSpec, features):
     tokens starting at zero; states are never mutated, so hypotheses may
     branch freely.
     """
-    if m.task in ("caption", "perstep_decode"):
-        if m.task == "caption":
-            v, _ = phi_forward(m.extractor, as_f64(features))
-        else:
-            v = _check_visual(m, features)
-
-        def step(state, prev_token, t):
-            logits, new_state = _decode_step(m, v, prev_token, state)
-            return log_softmax(logits), new_state
-
-        return initial_state(m), step
-
-    if m.task == "encode_decode":
+    # The slot next to the embedded token at the first step and at every later one.
+    state = initial_state(m)
+    if m.task == "caption":
+        first = rest = phi_forward(m.extractor, as_f64(features))[0]
+    elif m.task == "perstep_decode":
+        first = rest = _check_visual(m, features)
+    elif m.task == "encode_decode":
         inputs = _check_encoder_inputs(m, features)
         # Encoder steps: a zero token slot and every input but the last.
         enc = np.concatenate([np.zeros((len(inputs) - 1, m.embedding.dim)), inputs[:-1]], axis=1)
-        _, enc_state, _ = _unroll(m.cells, enc)
+        _, state, _ = _unroll(m.cells, enc)
+        # The boundary step (t == 0) still carries the final input; the
+        # input slot is zero after it.
+        first, rest = inputs[-1], np.zeros(m.input_dim)
+    else:
+        raise ValueError(f"{m.task} models do not emit token sequences")
 
-        def step(state, prev_token, t):
-            _check_token(m, prev_token)
-            # The embedded previous token and a zero input slot, except at the
-            # boundary step (t == 0), which still carries the final input.
-            x_slot = inputs[-1] if t == 0 else np.zeros(m.input_dim)
-            u = np.concatenate([m.embedding.W_e[:, prev_token], x_slot])
-            hs, new_state, _ = _unroll(m.cells, [u], initial=state)
-            return log_softmax(_logits(m, hs[-1][0])), new_state
+    def step(state, prev_token, t):
+        logits, new_state = _decode_step(m, first if t == 0 else rest, prev_token, state)
+        return log_softmax(logits), new_state
 
-        return enc_state, step
-
-    raise ValueError(f"{m.task} models do not emit token sequences")
+    return state, step
 
 
 def _check_tokens(m: ModelSpec, tokens: np.ndarray, lengths: np.ndarray):

@@ -22,6 +22,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "finite_diff_grad",
+    "uniform_fan_in",
     "dropout_mask",
     "apply_dropout",
 ]
@@ -118,6 +119,12 @@ def finite_diff_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
             raise NumericError(f"non-finite value in finite differences at index {i}")
         gflat[i] = (fp - fm) / (2.0 * eps)
     return grad
+
+
+def uniform_fan_in(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    """Weights drawn uniformly from [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
+    bound = 1.0 / np.sqrt(float(fan_in))
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -350,8 +350,6 @@ def build_demo_batch(topology: str, m: ModelSpec, seed: int = 0, n_sequences: in
                 blocks.append(raw / raw.sum())
             examples.append(CaptionPair(np.concatenate(blocks), random_tokens()))
     task = "caption" if topology.startswith("caption") else topology
-    if topology == "perstep_decode":
-        task = "perstep_decode"
     return SequenceBatch.from_examples(task, examples)
 
 
