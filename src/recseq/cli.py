@@ -94,13 +94,14 @@ _TRAIN_SCHEMA = {
 }
 
 
-def _resolve_train_options(args) -> dict:
+def _resolve_train_options(args):
+    """(resolved options, the keys given by a flag or the config file)."""
     file_cfg = load_kv(args.config) if args.config else {}
     unknown = sorted(set(file_cfg) - set(_TRAIN_SCHEMA))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     resolved = {}
-    for key, (cast, default, _) in _TRAIN_SCHEMA.items():
+    for key, (cast, default, choices) in _TRAIN_SCHEMA.items():
         flag_value = getattr(args, key)
         if flag_value is not None:
             resolved[key] = flag_value
@@ -109,9 +110,28 @@ def _resolve_train_options(args) -> dict:
                 resolved[key] = cast(file_cfg[key])
             except ValueError as exc:
                 raise UsageError(f"config key {key}: {exc}") from None
+            if choices and resolved[key] not in choices:
+                raise UsageError(f"config key {key}: {resolved[key]!r} is not one of {', '.join(choices)}")
         else:
             resolved[key] = default
-    return resolved
+    given = {key for key in _TRAIN_SCHEMA if getattr(args, key) is not None or key in file_cfg}
+    return resolved, given
+
+
+def _refuse_unread_options(task, opts, given):
+    """A given option that the task's model never reads is a usage error, not a silent no-op."""
+    unread = (
+        ("factored", task != "caption", ""),
+        ("clip_len", task != "classify", ""),
+        ("extractor", task == "encode_decode", ""),
+        ("extractor_dim", task == "encode_decode", ""),
+        ("extractor_dim", opts["extractor"] == "identity", " with the identity extractor"),
+        ("embed_dim", task == "classify", ""),
+        ("rnn_nonlinearity", opts["cell"] == "lstm", " with lstm cells"),
+    )
+    for key, unused, qualifier in unread:
+        if unused and key in given:
+            raise UsageError(f"option {key} is not read by {task} models{qualifier}")
 
 
 def _build_from_data(task, examples, aux, opts):
@@ -137,8 +157,9 @@ def _build_from_data(task, examples, aux, opts):
 
 
 def _cmd_train(args) -> int:
-    opts = _resolve_train_options(args)
+    opts, given = _resolve_train_options(args)
     task, examples, aux = load_task_dir(args.data)
+    _refuse_unread_options(task, opts, given)
     m = _build_from_data(task, examples, aux, opts)
     cfg = TrainConfig(**{f.name: opts[f.name] for f in dataclasses.fields(TrainConfig) if f.name in opts})
     m, reports = fit(m, examples, cfg, log=sys.stdout)

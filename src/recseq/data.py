@@ -2,7 +2,8 @@
 
 Text formats (all UTF-8, newline terminated lines):
 
-  token corpus     one sequence per line, tokens separated by single spaces
+  token corpus     one sequence per line, tokens separated by single spaces;
+                   no token is empty, holds whitespace or is <bos>/<eos>
   feature file     header line "dims d", then one d-vector per line with
                    space-separated float literals (repr round-trip exact)
   pair manifest    lines "feature_row<TAB>caption_line" (0-based indices)
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .models import Vocabulary
+from .models import BOS_TOKEN, EOS_TOKEN, Vocabulary
 from .tensor_ops import as_f64
 
 __all__ = [
@@ -329,13 +330,23 @@ def _lines(path):
 
 
 def load_tokens(path):
-    """Read a token corpus. Returns a list of token-string lists."""
+    """Read a token corpus. Returns a list of token-string lists.
+
+    An empty token (two spaces in a row, or a space at either end), a token
+    holding other whitespace, and the reserved markers are refused.
+    """
     out = []
     for lineno, line in _lines(path):
         line = line.rstrip("\n")
         if not line.strip():
             raise DataFormatError("empty sequence", path=path, line=lineno)
-        out.append(line.split(" "))
+        words = line.split(" ")
+        for w in words:
+            if not w or any(ch.isspace() for ch in w):
+                raise DataFormatError(f"token {w!r} is empty or contains whitespace", path=path, line=lineno)
+            if w in (BOS_TOKEN, EOS_TOKEN):
+                raise DataFormatError(f"token {w!r} is a reserved marker", path=path, line=lineno)
+        out.append(words)
     return out
 
 
@@ -492,7 +503,8 @@ def _load_frames(path, meta, meta_path) -> np.ndarray:
             frame_shape = tuple(int(d) for d in meta["frame_shape"].split(","))
         except ValueError:
             frame_shape = ()
-        if not frame_shape or min(frame_shape) < 1 or math.prod(frame_shape) != rows.shape[1]:
+        # At most 31 frame axes: numpy before 2.0 holds 32 axes, one of them the rows.
+        if not 0 < len(frame_shape) < 32 or min(frame_shape) < 1 or math.prod(frame_shape) != rows.shape[1]:
             raise DataFormatError(f"frame_shape={meta['frame_shape']} does not fit rows of {rows.shape[1]} values",
                                   path=meta_path)
         rows = rows.reshape((len(rows),) + frame_shape)

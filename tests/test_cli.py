@@ -175,6 +175,27 @@ def _smallconv_on_tiny_frames(tmp_path, capsys):
             "--extractor-dim", "4", "--hidden", "3", "--epochs", "1"]
 
 
+def _train_synth(tmp_path, capsys, task, *flags, edit=None):
+    d = tmp_path / task
+    code, _, err = run(capsys, "synth", "--task", task, "--out", str(d), "--count", "4", "--seq-len", "2")
+    assert code == 0, err
+    if edit is not None:
+        edit(d)
+    return ["train", "--data", str(d), "--out", str(tmp_path / "m.ckpt"), "--hidden", "3", "--epochs", "1", *flags]
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    return str(path)
+
+
+def _edit_line(path, lineno, edit):
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[lineno] = edit(lines[lineno])
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
 _PCG64_STATE = {"state": 1, "inc": 1}
 
 
@@ -192,6 +213,18 @@ BAD_INVOCATIONS = [
     ("smallconv_on_flat_frames", lambda t, c: _train_order(t, c, "--extractor", "smallconv", "--extractor-dim", "4"), 1),
     ("smallconv_frames_too_small", _smallconv_on_tiny_frames, 1),
     ("inject_layer_flag_is_gone", lambda t, c: _train_order(t, c, "--inject-layer", "2"), 1),
+    ("factored_on_copy", lambda t, c: _train_synth(t, c, "copy", "--factored"), 1),
+    ("extractor_on_copy", lambda t, c: _train_synth(
+        t, c, "copy", "--extractor", "smallconv", "--extractor-dim", "8", "--clip-len", "2"), 1),
+    ("extractor_dim_on_copy", lambda t, c: _train_synth(t, c, "copy", "--extractor-dim", "8"), 1),
+    ("clip_len_on_copy", lambda t, c: _train_synth(t, c, "copy", "--clip-len", "2"), 1),
+    ("clip_len_on_caption", lambda t, c: _train_synth(t, c, "caption", "--clip-len", "2"), 1),
+    ("factored_on_order", lambda t, c: _train_order(t, c, "--factored", "--embed-dim", "3"), 1),
+    ("embed_dim_on_order", lambda t, c: _train_order(t, c, "--embed-dim", "3"), 1),
+    ("embed_dim_config_key_on_order", lambda t, c: _train_order(t, c, "--config", _config(t, "embed_dim=3\n")), 1),
+    ("extractor_dim_with_identity", lambda t, c: _train_order(t, c, "--extractor-dim", "4"), 1),
+    ("rnn_nonlinearity_with_lstm", lambda t, c: _train_order(t, c, "--rnn-nonlinearity", "sigmoid"), 1),
+    ("cell_config_value_not_a_choice", lambda t, c: _train_order(t, c, "--config", _config(t, "cell=gru\n")), 1),
     ("non_finite_parameters", _overflowing_update, 3),
     ("label_out_of_range", lambda t, c: _train_order(
         t, c, edit=lambda d: (d / "windows.tsv").write_text("frames.txt\t0\t4\t7\n")), 2),
@@ -199,6 +232,14 @@ BAD_INVOCATIONS = [
     ("classes_not_a_number", lambda t, c: _train_order(
         t, c, edit=lambda d: _edit_text(d / "meta.txt", "classes=2", "classes=two")), 2),
     ("targets_not_utf8", _copy_targets_not_utf8, 2),
+    ("caption_double_space", lambda t, c: _train_synth(
+        t, c, "caption", edit=lambda d: _edit_line(d / "captions.txt", 0, lambda x: x.replace(" ", "  "))), 2),
+    ("caption_eos_word", lambda t, c: _train_synth(
+        t, c, "caption", edit=lambda d: _edit_line(d / "captions.txt", 1, lambda x: x + " <eos>")), 2),
+    ("targets_tab", lambda t, c: _train_synth(
+        t, c, "copy", edit=lambda d: _edit_line(d / "targets.txt", 2, lambda x: x.replace(" ", "\t"))), 2),
+    ("targets_em_space", lambda t, c: _train_synth(
+        t, c, "copy", edit=lambda d: _edit_line(d / "targets.txt", 3, lambda x: x.replace(" ", "\u2003"))), 2),
     ("nan_in_feature_file", lambda t, c: _train_order(
         t, c, edit=lambda d: _edit_text(d / "frames.txt", "\n0.0 ", "\nnan ")), 2),
     ("frame_shape_mismatch", lambda t, c: _train_order(
@@ -404,6 +445,24 @@ class TestConfigMerging:
         assert code == 0, err
         m = load_checkpoint(ckpt).model
         assert m.cells[0].n_hidden == 4
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--factored",), "option factored is not read by encode_decode models"),
+        (("--extractor-dim", "4"), "option extractor_dim is not read by encode_decode models"),
+        (("--cell", "lstm", "--rnn-nonlinearity", "tanh"),
+         "option rnn_nonlinearity is not read by encode_decode models with lstm cells"),
+    ], ids=["factored", "extractor_dim", "rnn_nonlinearity"])
+    def test_unread_option_names_option_and_task(self, capsys, copy_dir, tmp_path, flags, message):
+        code, _, err = run(capsys, "train", "--data", str(copy_dir), "--out", str(tmp_path / "m.ckpt"), *flags)
+        assert code == 1
+        assert message in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_options_the_task_reads_are_accepted(self, capsys, tmp_path):
+        argv = _train_order(tmp_path, capsys, "--cell", "rnn", "--rnn-nonlinearity", "sigmoid", "--clip-len", "2",
+                            "--extractor", "linear", "--extractor-dim", "3")
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
 
     def test_bad_config_value_is_usage_error(self, capsys, copy_dir, tmp_path):
         cfg = tmp_path / "cfg.txt"

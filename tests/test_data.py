@@ -1,9 +1,14 @@
 """Task generators and the text file formats, including failure positions."""
 
 import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recseq.data import (
     CaptionPair,
@@ -196,6 +201,28 @@ class TestTokensFormat:
         with pytest.raises(DataFormatError) as err:
             load_tokens(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("line,message", [
+        ("red  circle", "empty"),
+        (" red circle", "empty"),
+        ("red circle ", "empty"),
+        ("red\tcircle", "whitespace"),
+        ("red\u2003circle", "whitespace"),
+        ("red\x0bcircle", "whitespace"),
+        ("red <eos>", "reserved"),
+        ("<bos> red", "reserved"),
+    ], ids=["double_space", "leading_space", "trailing_space", "tab", "em_space", "vertical_tab", "eos", "bos"])
+    def test_malformed_token_reports_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "corpus.txt"
+        path.write_text(f"red circle\n{line}\nblue star\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=message) as err:
+            load_tokens(path)
+        assert (err.value.path, err.value.line) == (path, 2)
+
+    def test_unk_marker_is_an_ordinary_word(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("red <unk>\n")
+        assert load_tokens(path) == [["red", "<unk>"]]
 
 
 class TestFeaturesFormat:
@@ -408,6 +435,14 @@ class TestTaskDirs:
         with pytest.raises(DataFormatError, match="frame_shape"):
             load_task_dir(d)
 
+    def test_frame_shape_with_more_axes_than_numpy_holds(self, tmp_path):
+        examples, n_classes = gen_order_task(seed=0, count=3, seq_len=4)
+        width = examples[0].frames.shape[1]
+        d = tmp_path / "cls"
+        save_task_dir(d, "classify", examples, meta={"classes": n_classes, "frame_shape": "1," * 70 + str(width)})
+        with pytest.raises(DataFormatError, match="frame_shape"):
+            load_task_dir(d)
+
 
 class TestFeatureFinitePolicy:
     @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "NaN"])
@@ -416,3 +451,55 @@ class TestFeatureFinitePolicy:
         path.write_text(f"dims 2\n0.5 1.0\n1.5 {literal}\n")
         with pytest.raises(DataFormatError, match="line 3"):
             load_features(path)
+
+
+# Pieces the text formats give meaning to, mixed into arbitrary text so that
+# the edited lines reach past each parser's first check.
+FRAGMENTS = st.sampled_from([
+    " ", "  ", "\t", "\u2003", "\x0b", "\n", "=", ",", "-", "0", "1", "3", "1e999", "nan", "dims", "task", "classes",
+    "frame_shape", "caption", "classify", "encode_decode", "<bos>", "<eos>", "<unk>", "frames.txt", "red",
+])
+LINE_TEXT = st.lists(FRAGMENTS | st.text(max_size=3), max_size=6).map("".join)
+
+# The files of each task directory whose lines the fuzz edits.
+TASK_FILES = {
+    "caption": ("meta.txt", "images.txt", "captions.txt", "pairs.tsv"),
+    "classify": ("meta.txt", "frames.txt", "windows.tsv"),
+    "encode_decode": ("meta.txt", "inputs.txt", "targets.txt", "windows.tsv"),
+}
+
+
+@pytest.fixture(scope="module")
+def task_dirs(tmp_path_factory):
+    """A small caption, classify and encode_decode directory."""
+    root = tmp_path_factory.mktemp("task_dirs")
+    pairs, vocab = gen_toy_captioning(seed=0, count=3, n_colors=2, n_shapes=2)
+    save_task_dir(root / "caption", "caption", pairs, vocab=vocab)
+    examples, n_classes = gen_order_task(seed=0, count=3, seq_len=4, n_fillers=2)
+    save_task_dir(root / "classify", "classify", examples, meta={"classes": n_classes})
+    examples, vocab = gen_copy_task(seed=0, vocab_size=4, seq_len=2, count=3)
+    save_task_dir(root / "encode_decode", "encode_decode", examples, vocab=vocab)
+    return root
+
+
+class TestTextFormatFuzz:
+    """Any one edited line loads or fails as malformed data (exit 2)."""
+
+    @pytest.mark.parametrize("task", sorted(TASK_FILES))
+    @given(data=st.data(), text=LINE_TEXT)
+    @settings(max_examples=50, deadline=None)
+    def test_one_edited_line_loads_or_is_a_data_error(self, task_dirs, task, data, text):
+        name = data.draw(st.sampled_from(TASK_FILES[task]), label="file")
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(shutil.copytree(task_dirs / task, Path(tmp) / task))
+            lines = (d / name).read_text(encoding="utf-8").split("\n")[:-1]
+            k = data.draw(st.integers(0, len(lines) - 1), label="line")
+            # Replace a slice of the line, up to all of it.
+            lo = data.draw(st.integers(0, len(lines[k])), label="from")
+            hi = data.draw(st.integers(lo, len(lines[k])), label="to")
+            lines[k] = lines[k][:lo] + text + lines[k][hi:]
+            (d / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                load_task_dir(d)
+            except (DataFormatError, OSError):
+                pass

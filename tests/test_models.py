@@ -399,3 +399,31 @@ def test_factored_caption_models_have_exactly_two_layers_and_inject_at_the_secon
     with pytest.raises(TypeError):
         build_model("caption", rng=rng, hidden=4, layers=2, extractor=IdentityExtractor((3,)),
                     vocab=small_vocab(), embed_dim=5, factored=True, inject_layer=2)
+
+
+TOKEN_TOPOLOGIES = [t for t in GRADCHECK_TOPOLOGIES if t != "classify"]
+
+
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+@pytest.mark.parametrize("topology", TOKEN_TOPOLOGIES)
+def test_stepper_agrees_with_teacher_forcing(topology, cell):
+    """Stepping the decoder along a gold sequence gives the teacher-forced per-step NLLs.
+
+    Every gold sequence has at least three tokens, so encode_decode steps past
+    the boundary step; a one-vector encoder input is checked as well.
+    """
+    m = build_demo_model(topology, seed=1, cell=cell)
+    batch = build_demo_batch(topology, m, seed=1, n_sequences=4)
+    examples = [batch.example(b) for b in range(len(batch))]
+    if topology == "encode_decode":
+        examples.append((examples[0][0][:1], examples[0][1]))
+    for features, tokens in examples:
+        assert len(tokens) >= 3
+        state, step = make_stepper(m, features)
+        prev, stepped = m.vocab.bos, []
+        for t, token in enumerate(tokens):
+            lp, state = step(state, prev, t)
+            stepped.append(-lp[token])
+            prev = token
+        _, per_step = sequence_loss_and_grads(m, (features, tokens))
+        np.testing.assert_allclose(stepped, per_step, rtol=0, atol=1e-12)
