@@ -341,11 +341,11 @@ def load_tokens(path):
         if not line.strip():
             raise DataFormatError("empty sequence", path=path, line=lineno)
         words = line.split(" ")
-        for w in words:
-            if not w or any(ch.isspace() for ch in w):
-                raise DataFormatError(f"token {w!r} is empty or contains whitespace", path=path, line=lineno)
-            if w in (BOS_TOKEN, EOS_TOKEN):
-                raise DataFormatError(f"token {w!r} is a reserved marker", path=path, line=lineno)
+        if words != line.split():
+            raise DataFormatError("empty token, or whitespace other than single spaces", path=path, line=lineno)
+        for marker in (BOS_TOKEN, EOS_TOKEN):
+            if marker in words:
+                raise DataFormatError(f"token {marker!r} is a reserved marker", path=path, line=lineno)
         out.append(words)
     return out
 

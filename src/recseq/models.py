@@ -548,8 +548,8 @@ def make_stepper(m: ModelSpec, features):
     tokens starting at zero; states are never mutated, so hypotheses may
     branch freely.
     """
-    # The slot next to the embedded token at the first step and at every later one.
     state = initial_state(m)
+    # first, rest: the slot next to the embedded token at step 0 and at every later step.
     if m.task == "caption":
         first = rest = phi_forward(m.extractor, as_f64(features))[0]
     elif m.task == "perstep_decode":
