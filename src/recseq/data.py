@@ -310,12 +310,20 @@ def atomic_write_bytes(path, data: bytes):
 
 
 def save_tokens(path, sequences):
-    """Write a token corpus, one space-separated sequence per line."""
+    """Write a token corpus, one space-separated sequence per line.
+
+    Refuses what :func:`load_tokens` refuses: an empty sequence, an empty
+    token, a token holding whitespace and the reserved markers.
+    """
     lines = []
-    for seq in sequences:
+    for i, seq in enumerate(sequences):
         seq = list(seq)
         if not seq:
-            raise ValueError("token sequences must be non-empty")
+            raise ValueError(f"token sequence {i} is empty")
+        for t in seq:
+            if not t or any(ch.isspace() for ch in t) or t in (BOS_TOKEN, EOS_TOKEN):
+                raise ValueError(f"token sequence {i} holds {t!r}: a token is non-empty, has no whitespace"
+                                 f" and is not {BOS_TOKEN!r} or {EOS_TOKEN!r}")
         lines.append(" ".join(seq))
     atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -204,9 +204,9 @@ def clip_windows(n_frames: int, clip_len: int = 16, stride: int = 8):
 
 def _clip_distributions(m: ModelSpec, videos, clip_len, stride):
     """The (clips, classes) distributions of each video, all from one late-fusion
-    call; with ``clip_len`` None each video is one clip."""
+    call over the whole videos; with ``clip_len`` None each video is one clip."""
     windows = [[(0, len(v))] if clip_len is None else clip_windows(len(v), clip_len, stride) for v in videos]
-    dists = _late_fusion(m, [v[s:s + n] for v, w in zip(videos, windows) for s, n in w])
+    dists = _late_fusion(m, videos, windows)
     return np.split(dists, np.cumsum([len(w) for w in windows])[:-1])
 
 

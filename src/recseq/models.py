@@ -71,10 +71,12 @@ UNK_TOKEN = "<unk>"
 
 TASKS = ("classify", "caption", "encode_decode", "perstep_decode")
 SIMPLEX_TOL = 1e-6
-# Sequences per engine pass and logits per block of emitting steps in the
-# batched loss: together they keep its working memory within a few MB
-# whatever the batch size and vocabulary.
-_GROUP = 16
+# Padded steps per engine pass (its sequences times the longest of them;
+# a pass always holds at least one sequence) and logits per block of
+# emitting steps in the batched loss: together they keep its working memory
+# within a few MB whatever the batch size and vocabulary. Every training
+# batch of at most 16 sequences of up to 32 steps runs as one pass.
+_PASS_STEPS = 512
 _LOGIT_BLOCK = 2 ** 15
 
 
@@ -486,31 +488,73 @@ def classify_sequence(m: ModelSpec, frames) -> np.ndarray:
     return _late_fusion(m, [frames])[0]
 
 
-def _groups(task, examples):
-    """SequenceBatches of at most ``_GROUP`` examples, padded one group at a time."""
-    from .data import SequenceBatch  # deferred: data imports this module
+def _passes(steps):
+    """Slices of consecutive sequences, one per engine pass, from each
+    sequence's step count: a pass holds at most ``_PASS_STEPS`` padded
+    steps, or one sequence that runs longer alone."""
+    lo = longest = 0
+    for hi, n in enumerate(steps):
+        longest = max(longest, int(n))
+        if hi > lo and (hi + 1 - lo) * longest > _PASS_STEPS:
+            yield slice(lo, hi)
+            lo, longest = hi, int(n)
+    if lo < len(steps):
+        yield slice(lo, len(steps))
 
-    return (SequenceBatch.from_examples(task, examples[lo:lo + _GROUP]) for lo in range(0, len(examples), _GROUP))
+
+def _steps(batch) -> np.ndarray:
+    """Steps each example of a SequenceBatch runs in its plan."""
+    if batch.target_lengths is None:
+        return batch.input_lengths
+    if batch.input_lengths is None:
+        return batch.target_lengths
+    return batch.input_lengths - 1 + batch.target_lengths  # encode_decode
 
 
 def _log_likelihoods(m: ModelSpec, pairs) -> np.ndarray:
     """Teacher-forced log likelihood of each (visual vector, tokens) pair."""
+    from .data import SequenceBatch  # deferred: data imports this module
+
     if m.task not in ("caption", "perstep_decode"):
         raise ValueError(f"cannot score captions with a {m.task} model")
-    # The perstep_decode layout tells the plan that the visual vectors are already extracted.
-    return -np.array([sum(s) for b in _groups("perstep_decode", pairs) for s in sequence_loss_and_grads(m, b)[1]])
+    # Each pass is padded on its own. The perstep_decode layout tells the
+    # plan that the visual vectors are already extracted.
+    batches = (SequenceBatch.from_examples("perstep_decode", pairs[p]) for p in _passes([len(c) for _, c in pairs]))
+    return -np.array([sum(s) for b in batches for s in sequence_loss_and_grads(m, b)[1]])
 
 
-def _late_fusion(m: ModelSpec, sequences) -> np.ndarray:
-    """Late-fusion distribution of each frame sequence: the mean over its own steps."""
+def _late_fusion(m: ModelSpec, videos, windows=None) -> np.ndarray:
+    """Late-fusion distribution of each clip: the mean over its own steps.
+
+    ``windows[v]`` lists video v's clips as (start, length) pairs, by default
+    the whole video; rows follow the clips video by video. A pass extracts
+    every frame of its videos with one ``phi_forward`` call, and each clip
+    gathers its layer-1 inputs from those rows.
+    """
     if m.task != "classify":
         raise ValueError(f"cannot classify sequences with a {m.task} model")
+    videos = [as_f64(v) for v in videos]
+    if windows is None:
+        windows = [[(0, len(v))] for v in videos]
+    clips = np.array([(v, s, n) for v, w in enumerate(windows) for s, n in w], dtype=np.int64).reshape(-1, 3)
+    if (clips[:, 2] < 1).any():
+        raise ValueError("classification example has no frames")
+    first = np.cumsum([0] + [len(v) for v in videos])  # each video's first row of the stacked frames
     out = []
-    for batch in _groups("classify", [(frames, 0) for frames in sequences]):  # 0: an unread label
-        xs, _, targets, _, _, steps = _batch_plan(m, batch)
+    for p in _passes(clips[:, 2]):
+        owner, start, steps = clips[p].T
+        lo, hi = owner[0], owner[-1] + 1  # the clips run video by video
+        frames = np.concatenate(videos[lo:hi])
+        if frames.shape[1:] != m.extractor.input_shape:
+            raise ValueError(f"a video must be a stack of {m.extractor.input_shape} frames, got {frames.shape[1:]} frames")
+        rows, _ = phi_forward(m.extractor, frames)
+        real = np.arange(steps.max())[:, None] < steps
+        t, b = np.nonzero(real)
+        xs = np.zeros(real.shape + (m.extractor.out_dim,))
+        xs[t, b] = rows[first[owner[b]] - first[lo] + start[b] + t]
         hs, _, _ = _unroll(m.cells, xs, lengths=steps)
         probs = softmax(hs[-1] @ m.prediction.W_z.T + m.prediction.b_z)
-        probs[targets < 0] = 0.0
+        probs[~real] = 0.0
         out.extend(probs.sum(axis=0) / steps[:, None])
     return np.array(out)
 
@@ -595,7 +639,7 @@ def _batch_plan(m: ModelSpec, batch):
       targets  (T, B) class or token ids, -1 where a step emits nothing;
       prev     (T, B) token whose embedding fills the leading slot of a
                step's input, -1 for none (None for classification);
-      phi      (cache, rows) of the group's one extractor call, or None:
+      phi      (cache, rows) of the pass's one extractor call, or None:
                for rows (t, b) index arrays, output row i was the whole input
                of step t[i] of example b[i]; for rows None, row b was example
                b's visual vector (injected, else the trailing slot of every
@@ -617,12 +661,10 @@ def _batch_plan(m: ModelSpec, batch):
 
     tokens, lengths = batch.targets, batch.target_lengths
     _check_tokens(m, tokens, lengths)
-    first = np.zeros(B, dtype=np.int64)
-    if m.task == "encode_decode":
-        if batch.input_lengths.min() < 1 or batch.inputs.shape[2] != m.input_dim:
-            raise ValueError(f"encoder inputs must be non-empty (T, {m.input_dim}) arrays")
-        first = batch.input_lengths - 1
-    steps = first + lengths
+    if m.task == "encode_decode" and (batch.input_lengths.min() < 1 or batch.inputs.shape[2] != m.input_dim):
+        raise ValueError(f"encoder inputs must be non-empty (T, {m.input_dim}) arrays")
+    steps = _steps(batch)
+    first = steps - lengths  # encoder steps before the first emission, else 0
     b_idx, j_idx = np.nonzero(np.arange(tokens.shape[1]) < lengths[:, None])
     t_idx = first[b_idx] + j_idx
     targets = np.full((steps.max(), B), -1)
@@ -663,9 +705,9 @@ def sequence_loss_and_grads(m: ModelSpec, example, grads: ModelGrads | None = No
       encode_decode:   (inputs, target tokens)
       perstep_decode:  (visual vector, tokens)
 
-    A batch runs as one right-padded time-major unroll per group of at most
-    ``_GROUP`` sequences, with the output layer and log-softmax over blocks
-    of emitting steps, which bounds the working memory. When ``grads``
+    A batch runs as one right-padded time-major unroll per pass of at most
+    ``_PASS_STEPS`` padded steps, with the output layer and log-softmax over
+    blocks of emitting steps, which bounds the working memory. When ``grads``
     is given, parameter gradients scaled by ``scale`` are accumulated into
     it. ``drop`` is an optional (p, rng) pair applied to every recurrent
     layer input during the forward pass.
@@ -677,14 +719,16 @@ def sequence_loss_and_grads(m: ModelSpec, example, grads: ModelGrads | None = No
     from .data import SequenceBatch  # deferred: data imports this module
 
     batch = example if isinstance(example, SequenceBatch) else SequenceBatch.from_examples(m.task, [example])
-    if len(batch) > _GROUP:
-        parts = [sequence_loss_and_grads(m, batch[lo:lo + _GROUP], grads, scale, drop)
-                 for lo in range(0, len(batch), _GROUP)]
+    passes = list(_passes(_steps(batch)))
+    if len(passes) > 1:
+        parts = [sequence_loss_and_grads(m, batch[p], grads, scale, drop) for p in passes]
         per_step = [steps for _, part in parts for steps in part]
         return sum(sum(steps) for steps in per_step), per_step
     xs, inject, targets, prev, phi, steps = _batch_plan(m, batch)
     inject_layer = None if inject is None else m.inject_layer - 1
     hs, _, caches = _unroll(m.cells, xs, inject=inject, inject_layer=inject_layer, drop=drop, lengths=steps)
+    if grads is None:
+        caches = None  # scoring frees the step caches before the logit blocks
     # Emitting steps example by example, each example's in step order.
     b_idx, t_idx = np.nonzero(targets.T >= 0)
     top, tgt = hs[-1][t_idx, b_idx], targets[t_idx, b_idx]

@@ -1,6 +1,7 @@
 """Task generators and the text file formats, including failure positions."""
 
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -194,6 +195,13 @@ class TestTokensFormat:
     def test_empty_sequence_rejected_on_save(self, tmp_path):
         with pytest.raises(ValueError):
             save_tokens(tmp_path / "bad.txt", [["a"], []])
+
+    @pytest.mark.parametrize("token", ["", "red circle", "a\tb", "x\n", "\u2028", "<bos>", "<eos>"])
+    def test_a_token_the_reader_refuses_is_refused_on_save(self, tmp_path, token):
+        path = tmp_path / "bad.txt"
+        with pytest.raises(ValueError, match=r"token sequence 1 holds " + re.escape(repr(token))):
+            save_tokens(path, [["a"], ["red", token]])
+        assert not path.exists()
 
     def test_blank_line_reports_its_position(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -460,6 +468,9 @@ FRAGMENTS = st.sampled_from([
     "frame_shape", "caption", "classify", "encode_decode", "<bos>", "<eos>", "<unk>", "frames.txt", "red",
 ])
 LINE_TEXT = st.lists(FRAGMENTS | st.text(max_size=3), max_size=6).map("".join)
+# Tokens the writer accepts: non-empty, no whitespace, not a reserved marker.
+TOKEN = st.lists(FRAGMENTS | st.text(min_size=1, max_size=3), min_size=1, max_size=3).map("".join).filter(
+    lambda t: not any(ch.isspace() for ch in t) and t not in ("<bos>", "<eos>"))
 
 # The files of each task directory whose lines the fuzz edits.
 TASK_FILES = {
@@ -483,7 +494,16 @@ def task_dirs(tmp_path_factory):
 
 
 class TestTextFormatFuzz:
-    """Any one edited line loads or fails as malformed data (exit 2)."""
+    """Any one edited line loads or fails as malformed data (exit 2); any
+    corpus the writer accepts reads back unchanged."""
+
+    @given(seqs=st.lists(st.lists(TOKEN, min_size=1, max_size=6), min_size=1, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_saved_tokens_load_unchanged(self, seqs):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tokens.txt"
+            save_tokens(path, seqs)
+            assert load_tokens(path) == seqs
 
     @pytest.mark.parametrize("task", sorted(TASK_FILES))
     @given(data=st.data(), text=LINE_TEXT)

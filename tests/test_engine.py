@@ -15,6 +15,8 @@ from recseq.features import make_extractor
 from recseq.models import ModelGrads, Vocabulary, build_model, sequence_loss_and_grads
 from recseq.training import GRADCHECK_TOPOLOGIES, TrainConfig, _sgd_step, build_demo_batch, build_demo_model
 
+from conftest import assert_passes_keep_the_budget
+
 CASES = [(topology, cell) for topology in GRADCHECK_TOPOLOGIES for cell in ("lstm", "rnn")]
 TOL = 1e-12
 
@@ -102,9 +104,10 @@ def test_smallconv_batch_gradient_is_the_sum_of_example_gradients(topology, cell
 
 
 @pytest.mark.parametrize("topology", ["classify", "caption_2u", "caption_2f"])
-def test_one_extractor_call_each_way_per_group(topology, monkeypatch):
-    # 40 sequences run as groups of 16, 16 and 8: one stacked phi_forward and
-    # one phi_backward per group, through the names recseq.models binds.
+def test_one_extractor_call_each_way_per_group(topology, monkeypatch, unrolls):
+    # 40 sequences run as three or more passes of at most 40 padded steps: one
+    # stacked phi_forward and one phi_backward per pass, through the names
+    # recseq.models binds.
     m = smallconv_model(topology, "lstm")
     batch = build_demo_batch(topology, m, seed=5, n_sequences=40)
     calls = {"forward": [], "backward": []}
@@ -120,11 +123,12 @@ def test_one_extractor_call_each_way_per_group(topology, monkeypatch):
 
     monkeypatch.setattr(recseq.models, "phi_forward", counted_forward)
     monkeypatch.setattr(recseq.models, "phi_backward", counted_backward)
+    monkeypatch.setattr(recseq.models, "_PASS_STEPS", 40)
     sequence_loss_and_grads(m, batch, ModelGrads(m))
-    groups = [batch[lo:lo + recseq.models._GROUP] for lo in range(0, len(batch), recseq.models._GROUP)]
-    assert len(groups) == 3
-    # a classify group extracts each of its real frames once, a caption group each image once
-    rows = [int(g.input_lengths.sum()) if topology == "classify" else len(g) for g in groups]
+    assert len(unrolls) >= 3
+    assert_passes_keep_the_budget(unrolls, [steps_of(topology, ex) for ex in examples_of(batch)])
+    # a classify pass extracts each of its real frames once, a caption pass each image once
+    rows = [int(p.sum()) if topology == "classify" else len(p) for p in unrolls]
     assert calls == {"forward": rows, "backward": rows}
     if topology == "classify":
         calls["forward"].clear()
@@ -133,19 +137,71 @@ def test_one_extractor_call_each_way_per_group(topology, monkeypatch):
 
 
 @pytest.mark.parametrize("topology,cell", CASES)
-def test_groups_and_logit_blocks_match_the_examples(topology, cell, monkeypatch):
-    # 40 sequences run as groups of 16; two emitting steps per logit block
-    # split every group's output layer into many products.
+def test_groups_and_logit_blocks_match_the_examples(topology, cell, monkeypatch, unrolls):
+    # 40 sequences run as three or more passes of at most 40 padded steps; two
+    # emitting steps per logit block split every pass's output layer into
+    # many products.
     m = build_demo_model(topology, seed=3, cell=cell)
     examples = examples_of(build_demo_batch(topology, m, seed=5, n_sequences=40))
-    assert len(examples) > 2 * recseq.models._GROUP
     nlls, want_steps, want = summed_example_grads(m, examples)
+    monkeypatch.setattr(recseq.models, "_PASS_STEPS", 40)
     for block in (recseq.models._LOGIT_BLOCK, 2 * m.prediction.n_out):
         monkeypatch.setattr(recseq.models, "_LOGIT_BLOCK", block)
+        unrolls.clear()
         nll, per_step, grads = batch_grads(m, examples)
+        assert len(unrolls) >= 3
         assert np.max(np.abs(grads - want)) <= TOL
         assert abs(nll - sum(nlls)) <= TOL
         assert [len(steps) for steps in per_step] == [len(steps) for steps in want_steps]
+
+
+def example_of_steps(topology, m, batch, n_steps):
+    """An example like ``batch``'s first that runs ``n_steps`` steps."""
+    x, _ = batch.example(0)
+    if topology == "classify":
+        return np.resize(x, (n_steps,) + x.shape[1:]), 1
+    if topology == "encode_decode":
+        x, n_steps = x[:2], n_steps - 1
+    return x, tuple(k % 3 for k in range(n_steps - 1)) + (m.vocab.eos,)
+
+
+@pytest.mark.parametrize("topology", GRADCHECK_TOPOLOGIES)
+def test_a_sequence_longer_than_the_budget_runs_alone(topology, monkeypatch, unrolls):
+    # The budget fits any two of the ragged sequences, but not the long one.
+    m = build_demo_model(topology, seed=3)
+    batch = ragged_batch(topology, m, n_sequences=12)
+    examples = examples_of(batch)
+    budget = 2 * max(steps_of(topology, ex) for ex in examples)
+    long = example_of_steps(topology, m, batch, budget + 1)
+    examples = examples[:6] + [long] + examples[6:]
+    steps = [steps_of(topology, ex) for ex in examples]
+    nlls, _, want = summed_example_grads(m, examples)
+    monkeypatch.setattr(recseq.models, "_PASS_STEPS", budget)
+    for grads in (ModelGrads(m), None):
+        unrolls.clear()
+        nll, _ = sequence_loss_and_grads(m, SequenceBatch.from_examples(m.task, examples), grads)
+        assert_passes_keep_the_budget(unrolls, steps)
+        assert [steps_of(topology, long)] in [p.tolist() for p in unrolls]
+        assert any(len(p) > 1 for p in unrolls)
+        assert abs(nll - sum(nlls)) <= TOL
+        if grads is not None:
+            assert np.max(np.abs(grads.params - want)) <= TOL
+
+
+def test_a_captioning_benchmark_batch_runs_as_one_pass(unrolls):
+    # The benchmark's caption model: factored two-layer LSTM, hidden 32,
+    # embedding 16, linear extractor 32 -> 16, 1008 words plus markers, and
+    # training batches of 16 captions of 5 to 9 words plus EOS.
+    rng = np.random.default_rng(0)
+    vocab = Vocabulary.from_words([f"w{i}" for i in range(1008)])
+    ext = make_extractor("linear", (32,), out_dim=16, rng=rng)
+    m = build_model("caption", rng=rng, hidden=32, layers=2, cell="lstm", extractor=ext,
+                    vocab=vocab, embed_dim=16, factored=True)
+    examples = [CaptionPair(rng.standard_normal(32), tuple(rng.integers(0, 1008, size=9).tolist()) + (vocab.eos,))
+                for _ in range(16)]
+    _sgd_step(m, SequenceBatch.from_examples("caption", examples), TrainConfig(lr=0.5, dropout=0.2, clip_norm=1.0),
+              np.random.default_rng(1))
+    assert [p.tolist() for p in unrolls] == [[10] * 16]
 
 
 @pytest.mark.parametrize("topology,cell", CASES)

@@ -33,6 +33,8 @@ from recseq.models import (
 )
 from recseq.training import build_demo_batch, build_demo_model
 
+from conftest import assert_passes_keep_the_budget
+
 
 def tokens(text):
     return text.split()
@@ -258,18 +260,6 @@ def stepwise_log_likelihood(m, visual, caption):
     return total
 
 
-def count_unrolls(monkeypatch):
-    calls = []
-    unroll = recseq.models._unroll
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return unroll(*args, **kwargs)
-
-    monkeypatch.setattr(recseq.models, "_unroll", counted)
-    return calls
-
-
 class TestBatchedScorePairs:
     def grid(self, topology):
         m = build_demo_model(topology, seed=2)
@@ -291,11 +281,16 @@ class TestBatchedScorePairs:
                 assert scores[i, j] == pytest.approx(stepwise_log_likelihood(m, feat, cap), rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("topology", ["caption_2f", "perstep_decode"])
-    def test_one_unroll_per_group_of_pairs(self, monkeypatch, topology):
+    def test_one_unroll_per_group_of_pairs(self, monkeypatch, unrolls, topology):
+        # 35 pairs run as three or more passes of at most 40 padded steps.
         m, feats, caps = self.grid(topology)
-        calls = count_unrolls(monkeypatch)
-        score_pairs(m, feats, caps)
-        assert len(calls) == math.ceil(len(feats) * len(caps) / recseq.models._GROUP)
+        want = score_pairs(m, feats, caps)
+        monkeypatch.setattr(recseq.models, "_PASS_STEPS", 40)
+        unrolls.clear()
+        got = score_pairs(m, feats, caps)
+        assert len(unrolls) >= 3
+        assert_passes_keep_the_budget(unrolls, [len(c) for _ in feats for c in caps])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_empty_sides_keep_their_shape(self):
         m, feats, caps = self.grid("caption_2f")
@@ -344,12 +339,50 @@ class TestBatchedClassification:
             np.testing.assert_allclose(np.array(per_clip), np.array(want), rtol=0, atol=1e-14)
             np.testing.assert_array_equal(got, np.mean(per_clip, axis=0))
 
-    def test_one_unroll_per_group_of_clips(self, monkeypatch):
+    def test_one_unroll_per_group_of_clips(self, monkeypatch, unrolls):
+        # 51 clips run as three or more passes of at most 40 padded steps.
         m, videos = self.videos()
-        n_clips = sum(len(clip_windows(len(v.frames), 4, 3)) for v in videos)
-        calls = count_unrolls(monkeypatch)
+        monkeypatch.setattr(recseq.models, "_PASS_STEPS", 40)
         classification_accuracy(m, videos, clip_len=4, stride=3)
-        assert len(calls) == math.ceil(n_clips / recseq.models._GROUP)
+        assert len(unrolls) >= 3
+        assert_passes_keep_the_budget(unrolls, [n for v in videos for _, n in clip_windows(len(v.frames), 4, 3)])
+
+    def count_frames(self, monkeypatch):
+        frames = []
+        forward = recseq.models.phi_forward
+
+        def counted(ext, x):
+            frames.append(len(x))
+            return forward(ext, x)
+
+        monkeypatch.setattr(recseq.models, "phi_forward", counted)
+        return frames
+
+    def test_clip_protocol_extracts_each_frame_once(self, monkeypatch):
+        m, videos = self.videos()
+        frames = self.count_frames(monkeypatch)
+        classification_accuracy(m, videos, clip_len=4, stride=3)
+        assert frames == [sum(len(v.frames) for v in videos)]
+        assert sum(n for v in videos for _, n in clip_windows(len(v.frames), 4, 3)) > frames[0]
+        frames.clear()
+        clip_protocol_eval(m, videos[4].frames, 4, 3)
+        assert frames == [len(videos[4].frames)]
+
+    def test_clips_straddling_a_pass_boundary_equal_single_clip_calls(self, monkeypatch, unrolls):
+        # Passes of at most two 4-step clips split every video of three or
+        # more clips; each pass extracts every frame of the videos it touches.
+        m, videos = self.videos()
+        windows = [clip_windows(len(v.frames), 4, 3) for v in videos]
+        frames = self.count_frames(monkeypatch)
+        monkeypatch.setattr(recseq.models, "_PASS_STEPS", 8)
+        got = recseq.models._late_fusion(m, [v.frames for v in videos], windows)
+        owners = [v for v, w in enumerate(windows) for _ in w]
+        ends = np.cumsum([len(p) for p in unrolls])
+        touched = [sorted(set(owners[end - len(p):end])) for p, end in zip(unrolls, ends)]
+        assert sum(len(set(owners[:end]) & set(owners[end:])) for end in ends) >= 5
+        assert frames == [sum(len(videos[v].frames) for v in vs) for vs in touched]
+        want = [classify_sequence(m, v.frames[s:s + n]) for v, w in zip(videos, windows) for s, n in w]
+        np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-14)
 
     def test_wrong_task_is_rejected(self):
         m = build_demo_model("caption_1u", seed=0)

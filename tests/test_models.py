@@ -114,6 +114,17 @@ def test_classify_empty_rejected():
         classify_sequence(m, np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("frame_shape", [(2,), (1, 6, 6)])
+def test_classify_rejects_one_frame_in_place_of_a_video(frame_shape):
+    rng = np.random.default_rng(3)
+    variant = "identity" if len(frame_shape) == 1 else "smallconv"
+    ext = make_extractor(variant, frame_shape, out_dim=None if variant == "identity" else 3, rng=rng)
+    m = build_model("classify", rng=rng, hidden=4, extractor=ext, n_classes=2)
+    with pytest.raises(ValueError, match="stack of"):
+        classify_sequence(m, np.zeros(frame_shape))
+    assert classify_sequence(m, np.zeros((1,) + frame_shape)).shape == (2,)
+
+
 def test_caption_step_matches_manual_composition():
     rng = np.random.default_rng(4)
     vocab = small_vocab()
