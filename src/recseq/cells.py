@@ -358,7 +358,10 @@ def _unroll(cells, xs, initial=None, inject=None, inject_layer=None, drop=None, 
     below = xs
     for layer, cell in enumerate(cells):
         if layer == inject_layer:
-            below = np.concatenate([below, np.broadcast_to(inject, below.shape[:-1] + inject.shape[-1:])], axis=-1)
+            joined = np.empty(below.shape[:-1] + (below.shape[-1] + inject.shape[-1],))
+            joined[..., :below.shape[-1]] = below
+            joined[..., below.shape[-1]:] = inject
+            below = joined
         if below.shape[-1] != cell.n_input:
             raise ValueError(f"layer {layer} input has shape {below.shape[-1:]}, cell expects ({cell.n_input},)")
         h_seq, c_seq, caches = _layer_forward(

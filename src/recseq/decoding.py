@@ -74,6 +74,20 @@ def greedy_decode(m: ModelSpec, features, max_len: int) -> Hypothesis:
     return _walk(m, state, step, max_len, _argmax)
 
 
+def _best(scores: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices of the ``k`` best scores, best first.
+
+    Equals ``np.argsort(-scores, axis=None, kind="stable")[:k]``, ties and
+    NaN included: ``np.partition`` finds the k-th best negated score, and
+    only the scores at least that good (NaN too, which no comparison
+    excludes) get the stable sort.
+    """
+    neg = -scores.ravel()
+    k = min(k, neg.size)
+    cand = np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1]))
+    return cand[np.argsort(neg[cand], kind="stable")[:k]]
+
+
 def beam_search(m: ModelSpec, features, width: int, max_len: int) -> list:
     """Breadth-limited search over token sequences.
 
@@ -101,7 +115,7 @@ def beam_search(m: ModelSpec, features, width: int, max_len: int) -> list:
         stepped = [step(h.state, h.tokens[-1] if h.tokens else m.vocab.bos, t) for h in live]
         scores = np.array([h.logp for h in live])[:, None] + np.array([lp for lp, _ in stepped])
         parents, live = live, []
-        for i in np.argsort(-scores, axis=None, kind="stable")[:width].tolist():
+        for i in _best(scores, width).tolist():
             p, k = divmod(i, m.vocab.size)
             h = Hypothesis(parents[p].tokens + (k,), float(scores[p, k]), k == m.vocab.eos, stepped[p][1])
             (done if h.finished else live).append(h)

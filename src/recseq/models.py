@@ -451,9 +451,9 @@ def _decode_step(m: ModelSpec, slot: np.ndarray, prev_token: int, state: Recurre
     Returns (logits, new state)."""
     e = embed(m.embedding, prev_token)
     if m.factored:
-        hs, new_state, _ = _unroll(m.cells, [e], initial=state, inject=slot, inject_layer=m.inject_layer - 1)
+        hs, new_state, _ = _unroll(m.cells, e[None], initial=state, inject=slot, inject_layer=m.inject_layer - 1)
     else:
-        hs, new_state, _ = _unroll(m.cells, [np.concatenate([e, slot])], initial=state)
+        hs, new_state, _ = _unroll(m.cells, np.concatenate([e, slot])[None], initial=state)
     return m.prediction.W_z @ hs[-1][0] + m.prediction.b_z, new_state
 
 
@@ -719,6 +719,9 @@ def sequence_loss_and_grads(m: ModelSpec, example, grads: ModelGrads | None = No
     from .data import SequenceBatch  # deferred: data imports this module
 
     batch = example if isinstance(example, SequenceBatch) else SequenceBatch.from_examples(m.task, [example])
+    # A caption model also scores extracted vectors, batched as perstep_decode.
+    if batch.task != m.task and (m.task, batch.task) != ("caption", "perstep_decode"):
+        raise ValueError(f"a {batch.task} batch does not fit a {m.task} model")
     passes = list(_passes(_steps(batch)))
     if len(passes) > 1:
         parts = [sequence_loss_and_grads(m, batch[p], grads, scale, drop) for p in passes]

@@ -66,7 +66,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-x)), stable for large |x|."""
     x = as_f64(x)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def tanh_act(x: np.ndarray) -> np.ndarray:

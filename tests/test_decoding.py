@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recseq.decoding
-from recseq.decoding import Hypothesis, beam_search, greedy_decode, sample_decode
+from recseq.decoding import Hypothesis, _best, beam_search, greedy_decode, sample_decode
 from recseq.models import Vocabulary, build_model, caption_log_likelihood, make_stepper
 from recseq.tensor_ops import softmax
 from recseq.training import build_demo_batch, build_demo_model
@@ -214,10 +216,42 @@ class TestBeam:
         for width in range(1, 7):
             assert triples(beam_search(m, feats, width, 5)) == reference_beam(m, feats, width, 5)
 
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_captioning_sized_beam_equals_sorting_every_extension(self, width):
+        # A factored two-layer model over ~1000 words whose output bias falls
+        # off with word rank, so that its distributions are peaked as after
+        # training, and whose hypotheses finish at several lengths.
+        from recseq.features import make_extractor
+
+        rng = np.random.default_rng(width)
+        vocab = Vocabulary.from_words([f"w{i}" for i in range(998)])
+        m = build_model("caption", rng=rng, hidden=32, layers=2, cell="lstm", vocab=vocab, embed_dim=16,
+                        extractor=make_extractor("linear", (24,), out_dim=16, rng=rng), factored=True)
+        m.prediction.W_z *= 5.0
+        m.prediction.b_z[:] = -2.0 * np.log1p(rng.permutation(vocab.size))
+        m.prediction.b_z[vocab.eos] = -1.0
+        image = rng.standard_normal(24)
+        got = triples(beam_search(m, image, width, 8))
+        assert len(got) == width and len({len(tokens) for tokens, _, _ in got}) > 2
+        assert got == reference_beam(m, image, width, 8)
+
     def test_rejects_bad_width(self):
         m = zero_caption_model()
         with pytest.raises(ValueError):
             beam_search(m, np.zeros(3), width=0, max_len=3)
+
+
+class TestSelection:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_a_stable_sort_of_every_score(self, data):
+        # Few distinct values make ties at the k-th score common.
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+        values = st.sampled_from([-3.0, -2.0, -1.0, 0.0, -np.inf, np.inf, np.nan])
+        scores = np.array(data.draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+        width = data.draw(st.integers(1, rows * cols + 3))
+        want = np.argsort(-scores, axis=None, kind="stable")[:width]
+        assert _best(scores, width).tolist() == want.tolist()
 
 
 class TestSampling:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from recseq.cells import LstmCellParams
-from recseq.features import IdentityExtractor, make_extractor
+from recseq.data import SequenceBatch
+from recseq.features import IdentityExtractor, make_extractor, phi_forward
 from recseq.models import (
     EmbeddingParams,
     ModelGrads,
@@ -23,7 +24,14 @@ from recseq.models import (
     sequence_loss_and_grads,
 )
 from recseq.tensor_ops import softmax
-from recseq.training import GRADCHECK_TOPOLOGIES, TrainConfig, build_demo_batch, build_demo_model, train_epoch
+from recseq.training import (
+    GRADCHECK_TOPOLOGIES,
+    TrainConfig,
+    build_demo_batch,
+    build_demo_model,
+    sequence_nll,
+    train_epoch,
+)
 
 
 def small_vocab():
@@ -438,3 +446,24 @@ def test_stepper_agrees_with_teacher_forcing(topology, cell):
             prev = token
         _, per_step = sequence_loss_and_grads(m, (features, tokens))
         np.testing.assert_allclose(stepped, per_step, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("model_topology, batch_topology", [
+    ("encode_decode", "caption_1u"),
+    ("classify", "caption_1u"),
+    ("caption_1u", "classify"),
+])
+def test_a_batch_of_another_task_is_refused_naming_both(model_topology, batch_topology):
+    m = build_demo_model(model_topology, seed=0)
+    batch = build_demo_batch(batch_topology, build_demo_model(batch_topology, seed=0))
+    for score in (sequence_loss_and_grads, sequence_nll):
+        with pytest.raises(ValueError, match=f"a {batch.task} batch does not fit a {m.task} model"):
+            score(m, batch)
+
+
+def test_a_caption_model_scores_a_batch_of_extracted_vectors():
+    m = build_demo_model("caption_2f", seed=0)
+    batch = build_demo_batch("caption_2f", m)
+    vectors = [(phi_forward(m.extractor, batch.inputs[b])[0], batch.example(b)[1]) for b in range(len(batch))]
+    nll, _ = sequence_loss_and_grads(m, SequenceBatch.from_examples("perstep_decode", vectors))
+    assert nll == pytest.approx(sequence_loss_and_grads(m, batch)[0], rel=1e-12)
