@@ -9,9 +9,12 @@ are reproducible.
 
 Greedy decoding, sampling and :func:`recseq.models.encode_decode` walk one
 sequence at a time through :func:`_walk`, differing only in the rule that
-picks each token. Beam search ranks every extension of every live
-hypothesis in one array and builds a :class:`Hypothesis` only for the
-extensions that survive.
+picks each token. Beam search scores every extension of every live
+hypothesis in one array, stepping each live hypothesis by its own stepper
+call. It picks the survivors by partial selection: ``np.partition`` finds
+the width-th best score and only the extensions at least that good are
+sorted, in the order a stable sort of every extension would give. It
+builds a :class:`Hypothesis` only for the survivors.
 """
 
 from __future__ import annotations
@@ -92,11 +95,13 @@ def beam_search(m: ModelSpec, features, width: int, max_len: int) -> list:
     """Breadth-limited search over token sequences.
 
     Every live hypothesis is expanded over the whole vocabulary; the best
-    ``width`` extensions by cumulative log probability survive. Extensions
-    ending in EOS move to the finished pool and stop competing. The search
-    ends once ``width`` hypotheses have finished or every live hypothesis
-    has reached max_len. Returns at most ``width`` finished hypotheses,
-    best first.
+    ``width`` extensions by cumulative log probability survive, chosen by
+    :func:`_best` without sorting every extension. Equal scores keep the
+    lower flat (parent, token) index, with parents in token order.
+    Extensions ending in EOS move to the finished pool and stop competing.
+    The search ends once ``width`` hypotheses have finished or every live
+    hypothesis has reached max_len. Returns at most ``width`` finished
+    hypotheses, best first.
     """
     if width < 1:
         raise ValueError("beam width must be at least 1")

@@ -66,8 +66,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-x)), stable for large |x|."""
     x = as_f64(x)
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def tanh_act(x: np.ndarray) -> np.ndarray:
@@ -94,8 +93,8 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     z = as_f64(z)
     if z.size == 0:
         raise ValueError("log_softmax of an empty input")
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def finite_diff_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from recseq.cells import LstmCellParams
-from recseq.data import SequenceBatch
-from recseq.features import IdentityExtractor, make_extractor, phi_forward
+from recseq.features import IdentityExtractor, make_extractor
 from recseq.models import (
     EmbeddingParams,
     ModelGrads,
@@ -459,11 +458,3 @@ def test_a_batch_of_another_task_is_refused_naming_both(model_topology, batch_to
     for score in (sequence_loss_and_grads, sequence_nll):
         with pytest.raises(ValueError, match=f"a {batch.task} batch does not fit a {m.task} model"):
             score(m, batch)
-
-
-def test_a_caption_model_scores_a_batch_of_extracted_vectors():
-    m = build_demo_model("caption_2f", seed=0)
-    batch = build_demo_batch("caption_2f", m)
-    vectors = [(phi_forward(m.extractor, batch.inputs[b])[0], batch.example(b)[1]) for b in range(len(batch))]
-    nll, _ = sequence_loss_and_grads(m, SequenceBatch.from_examples("perstep_decode", vectors))
-    assert nll == pytest.approx(sequence_loss_and_grads(m, batch)[0], rel=1e-12)
