@@ -21,9 +21,10 @@ views so a step costs two matrix products instead of eight.
 One engine runs every recurrence, a single vector or a right-padded
 batch alike: per layer, the input product is one GEMM over all time-major
 steps and each step adds one recurrent GEMM. The single-step functions are
-one-step calls into it. Step caches are tuples of views into the layer's
-arrays (input, previous state, gate activations, cell value, dropout
-mask); backward walks the layers top down and their steps in reverse.
+one-step calls into it. Each layer's forward leaves one tape, the arrays
+it filled: (input, hidden states, cell states, activations, dropout
+mask). A step's cache is the pair (tape, t); backward walks the layers top
+down and their steps in reverse.
 Cells emit only hidden states; output layers live with the task models.
 """
 
@@ -185,13 +186,13 @@ class RnnCellParams(NamedParams):
 
 def _lstm_cell(p: LstmCellParams, act, h_prev, c_prev):
     """The LSTM step. ``act`` holds W_x x + b on entry and the gate
-    activations [i f o g] on return. Returns (h, c, act)."""
+    activations [i f o g] on return. Returns (h, c)."""
     n = p.n_hidden
     act += h_prev @ p.w_h.T
     act[..., :3 * n] = sigmoid(act[..., :3 * n])
     act[..., 3 * n:] = np.tanh(act[..., 3 * n:])
     c = act[..., n:2 * n] * c_prev + act[..., :n] * act[..., 3 * n:]
-    return act[..., 2 * n:3 * n] * np.tanh(c), c, act
+    return act[..., 2 * n:3 * n] * np.tanh(c), c
 
 
 def _layer_forward(cell, a, h0, c0, mask):
@@ -199,36 +200,35 @@ def _layer_forward(cell, a, h0, c0, mask):
 
     The input product is one GEMM over every step; each step then adds one
     recurrent product in place, so a step's slice of it ends up holding
-    that step's activations. Returns (hs, cs, step caches) with hs[0] = h0
-    and hs[t + 1] the state after step t; cs is None for a vanilla layer.
+    that step's activations. Returns the layer's tape (a, hs, cs, acts,
+    mask): ``a`` is the input after dropout, hs[0] = h0 and hs[t + 1] the
+    state after step t, cs likewise (None for a vanilla layer), and acts
+    the activations (an LSTM's gates, a vanilla layer's pre-activations).
     """
     if mask is not None:
         a = a * mask
     w_x, _, b = (getattr(cell, name) for name in cell.PARAMS)
-    xw = (a.reshape(-1, a.shape[-1]) @ w_x.T + b).reshape(a.shape[:-1] + b.shape)
+    acts = (a.reshape(-1, a.shape[-1]) @ w_x.T + b).reshape(a.shape[:-1] + b.shape)
     hs = np.empty((len(a) + 1,) + a.shape[1:-1] + (cell.n_hidden,))
     hs[0] = h0
     lstm = isinstance(cell, LstmCellParams)
     cs = np.empty_like(hs) if lstm else None
     if lstm:
         cs[0] = c0
-    caches = []
     for t in range(len(a)):
-        m_t = None if mask is None else mask[t]
         if lstm:
-            hs[t + 1], cs[t + 1], act = _lstm_cell(cell, xw[t], hs[t], cs[t])
-            caches.append((a[t], hs[t], cs[t], act, cs[t + 1], m_t))
+            hs[t + 1], cs[t + 1] = _lstm_cell(cell, acts[t], hs[t], cs[t])
         else:
-            xw[t] += hs[t] @ cell.W_hh.T
-            hs[t + 1] = np.tanh(xw[t]) if cell.nonlinearity == "tanh" else sigmoid(xw[t])
-            caches.append((a[t], hs[t], hs[t + 1], m_t))
-    return hs, cs, caches
+            acts[t] += hs[t] @ cell.W_hh.T
+            hs[t + 1] = np.tanh(acts[t]) if cell.nonlinearity == "tanh" else sigmoid(acts[t])
+    return a, hs, cs, acts, mask
 
 
 def _lstm_step_full(p: LstmCellParams, x, h_prev, c_prev):
     """One LSTM step through the engine. Returns (h, c, step cache)."""
-    hs, cs, caches = _layer_forward(p, x[None], h_prev, c_prev, None)
-    return hs[1], cs[1], caches[0]
+    tape = _layer_forward(p, x[None], h_prev, c_prev, None)
+    _, hs, cs, _, _ = tape
+    return hs[1], cs[1], (tape, 0)
 
 
 def lstm_step(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
@@ -236,8 +236,8 @@ def lstm_step(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.n
     x = as_f64(x)
     if x.shape != (p.n_input,):
         raise ValueError(f"lstm_step input shape {x.shape}, cell expects ({p.n_input},)")
-    h, c, cache = _lstm_step_full(p, x, as_f64(h_prev), as_f64(c_prev))
-    return h, c, GateActivations(*np.split(cache[3], 4))
+    h, c, (tape, _) = _lstm_step_full(p, x, as_f64(h_prev), as_f64(c_prev))
+    return h, c, GateActivations(*np.split(tape[3][0], 4))
 
 
 def _accumulate(p, grad_acc, d_pre, x, h_prev):
@@ -255,12 +255,14 @@ def _accumulate(p, grad_acc, d_pre, x, h_prev):
 def lstm_step_backward(p: LstmCellParams, cache, dh: np.ndarray, dc: np.ndarray, grad_acc: LstmCellParams | None = None):
     """Backward through one LSTM step, for one vector or a batch of rows.
 
-    dh and dc are the loss gradients flowing into h_t and c_t. Gradients of
-    the parameters are accumulated into grad_acc (allocated when None).
-    Returns (dx, dh_prev, dc_prev, grad_acc); dx is with respect to the
-    pre-dropout input when the forward step used a mask.
+    ``cache`` is the step's (tape, t). dh and dc are the loss gradients
+    flowing into h_t and c_t. Gradients of the parameters are accumulated
+    into grad_acc (allocated when None). Returns (dx, dh_prev, dc_prev,
+    grad_acc); dx is with respect to the pre-dropout input when the forward
+    step used a mask.
     """
-    x, h_prev, c_prev, act, c, mask = cache
+    (a, hs, cs, acts, mask), t = cache
+    x, h_prev, c_prev, act, c = a[t], hs[t], cs[t], acts[t], cs[t + 1]
     n = p.n_hidden
     i, f, o, g = (act[..., k * n:(k + 1) * n] for k in range(4))
     tc = np.tanh(c)
@@ -273,14 +275,15 @@ def lstm_step_backward(p: LstmCellParams, cache, dh: np.ndarray, dc: np.ndarray,
     grad_acc = _accumulate(p, grad_acc, d_pre, x, h_prev)
     dx = d_pre @ p.w_x
     if mask is not None:
-        dx = dx * mask
+        dx = dx * mask[t]
     return dx, d_pre @ p.w_h, dc_total * f, grad_acc
 
 
 def _rnn_step_full(p: RnnCellParams, x, h_prev):
     """One vanilla step through the engine. Returns (h, step cache)."""
-    hs, _, caches = _layer_forward(p, x[None], h_prev, None, None)
-    return hs[1], caches[0]
+    tape = _layer_forward(p, x[None], h_prev, None, None)
+    _, hs, _, _, _ = tape
+    return hs[1], (tape, 0)
 
 
 def rnn_step(p: RnnCellParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
@@ -292,8 +295,10 @@ def rnn_step(p: RnnCellParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
 
 
 def rnn_step_backward(p: RnnCellParams, cache, dh: np.ndarray, grad_acc: RnnCellParams | None = None):
-    """Backward through one RNN step. Returns (dx, dh_prev, grad_acc)."""
-    x, h_prev, h, mask = cache
+    """Backward through one RNN step from its (tape, t) cache. Returns (dx,
+    dh_prev, grad_acc)."""
+    (a, hs, _, _, mask), t = cache
+    x, h_prev, h = a[t], hs[t], hs[t + 1]
     if p.nonlinearity == "tanh":
         d_pre = dh * (1.0 - h * h)
     else:
@@ -301,7 +306,7 @@ def rnn_step_backward(p: RnnCellParams, cache, dh: np.ndarray, grad_acc: RnnCell
     grad_acc = _accumulate(p, grad_acc, d_pre, x, h_prev)
     dx = d_pre @ p.W_xh
     if mask is not None:
-        dx = dx * mask
+        dx = dx * mask[t]
     return dx, d_pre @ p.W_hh, grad_acc
 
 
@@ -337,95 +342,92 @@ def _dropout_masks(cells, n_steps, lengths, drop):
     return masks
 
 
-def _unroll(cells, xs, initial=None, inject=None, inject_layer=None, drop=None, lengths=None):
+def _unroll(cells, xs, initial=None, inject=None, inject_layer=0, drop=None, lengths=None):
     """Run a stack of cells over time-major layer-1 inputs.
 
     xs: (T, d) for one sequence (a list of vectors works too) or (T, B, d)
         for a batch padded on the right.
-    inject/inject_layer: optional vector, one per sequence, concatenated
-        onto the input of one layer (0-based index) at every step.
+    inject/inject_layer: optional slot joined after the input of one layer
+        (0-based index) at every step: one vector per sequence, or one per
+        step shaped like that layer's input.
     drop: optional (p, rng) for a batch whose sequences run ``lengths``
         steps; see :func:`_dropout_masks`.
 
-    Returns (hs, final_state, caches): hs[layer] is that layer's (T, ..., N)
-    hidden states and caches[t][layer] the step caches that feed
-    :func:`_unroll_backward`.
+    Returns (hs, final_state, tapes): hs[layer] is that layer's (T, ..., N)
+    hidden states and tapes[layer] the tape of :func:`_layer_forward` that
+    feeds :func:`_unroll_backward`.
     """
     xs = as_f64(xs)
     state = RecurrentState.zeros(cells) if initial is None else initial
     masks = None if drop is None or drop[0] == 0.0 else _dropout_masks(cells, len(xs), lengths, drop)
-    hs, finals, by_layer = [], RecurrentState([], []), []
+    hs, finals, tapes = [], RecurrentState([], []), []
     below = xs
     for layer, cell in enumerate(cells):
-        if layer == inject_layer:
+        if inject is not None and layer == inject_layer:
             joined = np.empty(below.shape[:-1] + (below.shape[-1] + inject.shape[-1],))
             joined[..., :below.shape[-1]] = below
             joined[..., below.shape[-1]:] = inject
             below = joined
         if below.shape[-1] != cell.n_input:
             raise ValueError(f"layer {layer} input has shape {below.shape[-1:]}, cell expects ({cell.n_input},)")
-        h_seq, c_seq, caches = _layer_forward(
-            cell, below, state.hs[layer], state.cs[layer], None if masks is None else masks[layer])
+        tape = _layer_forward(cell, below, state.hs[layer], state.cs[layer], None if masks is None else masks[layer])
+        _, h_seq, c_seq, _, _ = tape
         finals.hs.append(h_seq[-1])
         finals.cs.append(None if c_seq is None else c_seq[-1])
-        by_layer.append(caches)
+        tapes.append(tape)
         below = h_seq[1:]
         hs.append(below)
-    return hs, finals, [list(step) for step in zip(*by_layer)]
+    return hs, finals, tapes
 
 
-def _unroll_backward(cells, caches, d_top, d_final=None, inject_dim=0, inject_layer=None, grad_accs=None):
+def _unroll_backward(cells, d_top, tapes, inject_dim=0, inject_layer=0, grad_accs=None):
     """Reverse-mode pass matching :func:`_unroll`, one layer at a time.
 
     d_top: (T, ..., N) gradients flowing into the top layer's hidden states.
-    d_final: optional RecurrentState gradient on the final state.
+    inject_dim/inject_layer: width and layer of the slot the forward joined.
     grad_accs: optional per-layer parameter-gradient accumulators; fresh
         zero containers are allocated when omitted.
 
-    Returns (d_xs, d_inject, grads, d_initial); d_xs has the shape of the
-    layer-1 inputs and d_inject, summed over steps, is None when no vector
-    was injected.
+    Returns (d_xs, d_inject, grads); d_xs has the shape of the layer-1
+    inputs and d_inject, (T, ..., inject_dim), is the slot's gradient at
+    every step, None when nothing was injected.
     """
     grads = grad_accs if grad_accs is not None else [c.new_zeros() for c in cells]
     d_above = as_f64(d_top)
-    d_initial = RecurrentState([], [])
     d_inject = None
     for layer in range(len(cells) - 1, -1, -1):
         cell = cells[layer]
-        lstm = isinstance(cell, LstmCellParams)
-        dh = np.zeros(d_above.shape[1:-1] + (cell.n_hidden,)) if d_final is None else as_f64(d_final.hs[layer])
-        dc = np.zeros_like(dh) if d_final is None or d_final.cs[layer] is None else as_f64(d_final.cs[layer])
+        dh = np.zeros(d_above.shape[1:-1] + (cell.n_hidden,))
+        dc = np.zeros_like(dh)
         d_in = np.empty(d_above.shape[:-1] + (cell.n_input,))
-        for t in range(len(caches) - 1, -1, -1):
-            if lstm:
-                d_in[t], dh, dc, _ = lstm_step_backward(cell, caches[t][layer], d_above[t] + dh, dc, grads[layer])
+        for t in range(len(d_above) - 1, -1, -1):
+            if isinstance(cell, LstmCellParams):
+                d_in[t], dh, dc, _ = lstm_step_backward(cell, (tapes[layer], t), d_above[t] + dh, dc, grads[layer])
             else:
-                d_in[t], dh, _ = rnn_step_backward(cell, caches[t][layer], d_above[t] + dh, grads[layer])
-        d_initial.hs.insert(0, dh)
-        d_initial.cs.insert(0, dc if lstm else None)
-        if layer == inject_layer:
-            d_inject = d_in[..., -inject_dim:].sum(axis=0)
+                d_in[t], dh, _ = rnn_step_backward(cell, (tapes[layer], t), d_above[t] + dh, grads[layer])
+        if inject_dim and layer == inject_layer:
+            d_inject = d_in[..., -inject_dim:]
             d_in = d_in[..., :-inject_dim]
         d_above = d_in
-    return d_above, d_inject, grads, d_initial
+    return d_above, d_inject, grads
 
 
 def stack_forward(layers, xs, initial: RecurrentState | None = None):
     """Run stacked cells over a sequence; layer l feeds layer l+1.
 
-    Returns (hs, final_state, caches) with hs[layer][t] the hidden vector of
+    Returns (hs, final_state, tapes) with hs[layer][t] the hidden vector of
     that layer at step t. Initial state defaults to zeros.
     """
     return _unroll(layers, xs, initial=initial)
 
 
-def stack_backward(layers, caches, d_top, d_final: RecurrentState | None = None):
+def stack_backward(layers, tapes, d_top):
     """Backward through :func:`stack_forward`.
 
     d_top holds per-step gradients on the top layer's hidden vectors (None
-    for a step without one). Returns (d_xs, grads, d_initial).
+    for a step without one). Returns (d_xs, grads).
     """
     n = layers[-1].n_hidden
     d_top = [np.zeros(n) if d is None else d for d in d_top]
-    d_xs, _, grads, d_initial = _unroll_backward(layers, caches, d_top, d_final)
-    return list(d_xs), grads, d_initial
+    d_xs, _, grads = _unroll_backward(layers, d_top, tapes)
+    return list(d_xs), grads

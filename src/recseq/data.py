@@ -172,6 +172,13 @@ def flow_to_image(flow: np.ndarray, scale: float = 16.0) -> np.ndarray:
     return np.clip(np.round(scale * stacked), -128.0, 128.0)
 
 
+def _at_least(minimum, **sizes):
+    """Refuse a generator size below ``minimum``, naming the parameter."""
+    for name, value in sizes.items():
+        if value < minimum:
+            raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
 def _one_hot(idx, width):
     v = np.zeros(width)
     v[idx] = 1.0
@@ -184,6 +191,8 @@ def gen_copy_task(seed: int, vocab_size: int, seq_len: int, count: int):
     Inputs are one-hot rows over the symbol alphabet; targets are the same
     symbols as token ids followed by EOS. Returns (examples, vocabulary).
     """
+    _at_least(1, vocab_size=vocab_size, seq_len=seq_len)
+    _at_least(0, count=count)
     rng = np.random.default_rng(seed)
     vocab = Vocabulary.from_words([f"s{i}" for i in range(vocab_size)])
     examples = []
@@ -210,6 +219,10 @@ def gen_toy_captioning(seed: int, count: int, n_colors: int = 8, n_shapes: int =
     distinct attribute combinations, combinations are sampled without
     replacement so every caption in the set is unique.
     """
+    _at_least(1, n_colors=n_colors, n_shapes=n_shapes)
+    _at_least(0, count=count)
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"noise must be finite and at least 0, got {noise!r}")
     rng = np.random.default_rng(seed)
     colors = _attribute_words("color", COLOR_WORDS, n_colors)
     shapes = _attribute_words("shape", SHAPE_WORDS, n_shapes)
@@ -239,8 +252,9 @@ def gen_order_task(seed: int, count: int, seq_len: int = 8, n_fillers: int = 4):
     distributions are identical, so any model that ignores order cannot
     beat chance. Returns (examples, n_classes).
     """
-    if seq_len < 2:
-        raise ValueError("order task needs sequences of at least two frames")
+    _at_least(2, seq_len=seq_len)  # two markers
+    _at_least(1, n_fillers=n_fillers)
+    _at_least(0, count=count)
     rng = np.random.default_rng(seed)
     width = 2 + n_fillers
     examples = []
@@ -270,6 +284,8 @@ def gen_lag_recall(seed: int, count: int, vocab_size: int = 4, lag: int = 8, spa
     requires carrying a running lag-deep buffer of recent symbols rather
     than latching one fixed position. Returns (examples, vocabulary).
     """
+    _at_least(1, vocab_size=vocab_size)
+    _at_least(0, count=count, lag=lag, span=span)
     rng = np.random.default_rng(seed)
     vocab = Vocabulary.from_words([f"s{i}" for i in range(vocab_size)])
     examples = []
@@ -521,6 +537,8 @@ def _load_frames(path, meta, meta_path) -> np.ndarray:
 
 def save_task_dir(directory, task, examples, vocab: Vocabulary | None = None, meta=None):
     """Write a generated dataset as a directory of the standard formats."""
+    if not examples:
+        raise ValueError("no examples")
     os.makedirs(directory, exist_ok=True)
     info = {"task": task, "count": str(len(examples))}
     if meta:

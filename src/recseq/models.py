@@ -22,8 +22,10 @@ Three families of sequence problems share one recurrent core:
                   precomputed per-class score block (hard one-hot blocks or
                   probability blocks that must each sum to one).
 
-Layer-1 inputs that combine a token embedding with a visual vector always
-use the order [embedded token, visual vector].
+The slot of a token task (the visual vector, or the encoder-decoder's input
+vector) enters the recurrence through the engine's ``inject``, joined after
+the embedded token: at layer 2 of a factored model, else at layer 1, whose
+input is then [embedded token, slot].
 
 Training-time losses are teacher forced: the gold previous token is fed at
 every step regardless of what the model would have predicted. Every task
@@ -267,6 +269,8 @@ class ModelSpec(_ParamLayout):
         self.factored = bool(factored)
         # 1-based layer that receives the image feature of a factored model.
         self.inject_layer = 2 if self.factored else None
+        # 0-based layer whose input carries the slot of a token task.
+        self.slot_layer = 1 if self.factored else 0
         self.input_dim = input_dim
         self.visual_mode = visual_mode
         self.visual_blocks = None if visual_blocks is None else tuple(int(b) for b in visual_blocks)
@@ -446,14 +450,10 @@ def _check_encoder_inputs(m: ModelSpec, inputs) -> np.ndarray:
 
 
 def _decode_step(m: ModelSpec, slot: np.ndarray, prev_token: int, state: RecurrentState):
-    """One step of every token task: the embedded previous token next to
-    ``slot``, which a factored model injects into layer 2 instead.
-    Returns (logits, new state)."""
+    """One step of every token task: the embedded previous token, with
+    ``slot`` injected at the model's slot layer. Returns (logits, new state)."""
     e = embed(m.embedding, prev_token)
-    if m.factored:
-        hs, new_state, _ = _unroll(m.cells, e[None], initial=state, inject=slot, inject_layer=m.inject_layer - 1)
-    else:
-        hs, new_state, _ = _unroll(m.cells, np.concatenate([e, slot])[None], initial=state)
+    hs, new_state, _ = _unroll(m.cells, e[None], initial=state, inject=slot, inject_layer=m.slot_layer)
     return m.prediction.W_z @ hs[-1][0] + m.prediction.b_z, new_state
 
 
@@ -539,15 +539,15 @@ def _late_fusion(m: ModelSpec, videos, windows=None) -> np.ndarray:
     clips = np.array([(v, s, n) for v, w in enumerate(windows) for s, n in w], dtype=np.int64).reshape(-1, 3)
     if (clips[:, 2] < 1).any():
         raise ValueError("classification example has no frames")
+    for v in videos:
+        if v.shape[1:] != m.extractor.input_shape:
+            raise ValueError(f"a video must be a stack of {m.extractor.input_shape} frames, got {v.shape[1:]} frames")
     first = np.cumsum([0] + [len(v) for v in videos])  # each video's first row of the stacked frames
     out = []
     for p in _passes(clips[:, 2]):
         owner, start, steps = clips[p].T
         lo, hi = owner[0], owner[-1] + 1  # the clips run video by video
-        frames = np.concatenate(videos[lo:hi])
-        if frames.shape[1:] != m.extractor.input_shape:
-            raise ValueError(f"a video must be a stack of {m.extractor.input_shape} frames, got {frames.shape[1:]} frames")
-        rows, _ = phi_forward(m.extractor, frames)
+        rows, _ = phi_forward(m.extractor, np.concatenate(videos[lo:hi]))
         real = np.arange(steps.max())[:, None] < steps
         t, b = np.nonzero(real)
         xs = np.zeros(real.shape + (m.extractor.out_dim,))
@@ -593,16 +593,16 @@ def make_stepper(m: ModelSpec, features):
     branch freely.
     """
     state = initial_state(m)
-    # first, rest: the slot next to the embedded token at step 0 and at every later step.
+    # first, rest: the slot injected at step 0 and at every later step.
     if m.task == "caption":
         first = rest = phi_forward(m.extractor, as_f64(features))[0]
     elif m.task == "perstep_decode":
         first = rest = _check_visual(m, features)
     elif m.task == "encode_decode":
         inputs = _check_encoder_inputs(m, features)
-        # Encoder steps: a zero token slot and every input but the last.
-        enc = np.concatenate([np.zeros((len(inputs) - 1, m.embedding.dim)), inputs[:-1]], axis=1)
-        _, state, _ = _unroll(m.cells, enc)
+        # Encoder steps: no token, and every input but the last injected.
+        enc = np.zeros((len(inputs) - 1, m.embedding.dim))
+        _, state, _ = _unroll(m.cells, enc, inject=inputs[:-1], inject_layer=m.slot_layer)
         # The boundary step (t == 0) still carries the final input; the
         # input slot is zero after it.
         first, rest = inputs[-1], np.zeros(m.input_dim)
@@ -632,18 +632,19 @@ def _batch_plan(m: ModelSpec, batch):
     """Compile a SequenceBatch into one time-major teacher-forced unroll.
 
     Returns (xs, inject, targets, prev, phi, steps):
-      xs       (T, B, d) layer-1 inputs; example b runs ``steps[b]`` steps
-               and is padded on the right after them;
-      inject   (B, v) vectors concatenated onto layer 2's input of a
-               factored model, else None;
+      xs       (T, B, d) layer-1 inputs: extracted frames, or embedded
+               previous tokens (zero where there is none); example b runs
+               ``steps[b]`` steps and is padded on the right after them;
+      inject   the slot injected at the model's slot layer: (B, v) visual
+               vectors, or (T, B, v) encoder inputs, zero after each
+               example's last; None for classification;
       targets  (T, B) class or token ids, -1 where a step emits nothing;
-      prev     (T, B) token whose embedding fills the leading slot of a
-               step's input, -1 for none (None for classification);
+      prev     (T, B) token embedded into a step's input, -1 for none
+               (None for classification);
       phi      (cache, rows) of the pass's one extractor call, or None:
                for rows (t, b) index arrays, output row i was the whole input
                of step t[i] of example b[i]; for rows None, row b was example
-               b's visual vector (injected, else the trailing slot of every
-               step).
+               b's injected visual vector.
     """
     B = len(batch)
     if m.task == "classify":
@@ -672,27 +673,20 @@ def _batch_plan(m: ModelSpec, batch):
     prev = np.full_like(targets, -1)
     prev[t_idx, b_idx] = np.where(j_idx == 0, m.vocab.bos, tokens[b_idx, j_idx - 1])
 
-    d_e = m.embedding.dim
-    inject, phi = None, None
+    phi = None
     if m.task == "encode_decode":
         # Inputs are zero-padded: the slot is empty after each example's last input.
-        xs = np.zeros((len(targets), B, d_e + m.input_dim))
+        inject = np.zeros((len(targets), B, m.input_dim))
         n_in = batch.input_lengths.max()
-        xs[:n_in, :, d_e:] = batch.inputs[:, :n_in].swapaxes(0, 1)
+        inject[:n_in] = batch.inputs[:, :n_in].swapaxes(0, 1)
+    elif batch.task == m.task == "caption":  # a perstep_decode batch holds extracted vectors
+        inject, cache = phi_forward(m.extractor, batch.inputs)
+        phi = (cache, None)
     else:
-        if batch.task == m.task == "caption":  # a perstep_decode batch holds extracted vectors
-            visual, cache = phi_forward(m.extractor, batch.inputs)
-            phi = (cache, None)
-        else:
-            visual = np.array([_check_visual(m, v) for v in batch.inputs])
-        if m.factored:
-            inject = visual
-            xs = np.zeros((len(targets), B, d_e))
-        else:
-            xs = np.zeros((len(targets), B, d_e + visual.shape[1]))
-            xs[..., d_e:] = visual
+        inject = np.array([_check_visual(m, v) for v in batch.inputs])
+    xs = np.zeros((len(targets), B, m.embedding.dim))
     t_e, b_e = np.nonzero(prev >= 0)
-    xs[t_e, b_e, :d_e] = m.embedding.W_e.T[prev[t_e, b_e]]
+    xs[t_e, b_e] = m.embedding.W_e.T[prev[t_e, b_e]]
     return xs, inject, targets, prev, phi, steps
 
 
@@ -728,10 +722,9 @@ def sequence_loss_and_grads(m: ModelSpec, example, grads: ModelGrads | None = No
         per_step = [steps for _, part in parts for steps in part]
         return sum(sum(steps) for steps in per_step), per_step
     xs, inject, targets, prev, phi, steps = _batch_plan(m, batch)
-    inject_layer = None if inject is None else m.inject_layer - 1
-    hs, _, caches = _unroll(m.cells, xs, inject=inject, inject_layer=inject_layer, drop=drop, lengths=steps)
+    hs, _, tapes = _unroll(m.cells, xs, inject=inject, inject_layer=m.slot_layer, drop=drop, lengths=steps)
     if grads is None:
-        caches = None  # scoring frees the step caches before the logit blocks
+        tapes = None  # scoring frees the tapes before the logit blocks
     # Emitting steps example by example, each example's in step order.
     b_idx, t_idx = np.nonzero(targets.T >= 0)
     top, tgt = hs[-1][t_idx, b_idx], targets[t_idx, b_idx]
@@ -753,23 +746,19 @@ def sequence_loss_and_grads(m: ModelSpec, example, grads: ModelGrads | None = No
     per_step = [part.tolist() for part in np.split(nlls, ends)]
     nll = sum(sum(part) for part in per_step)
     if grads is not None:
-        d_xs, d_inject, _, _ = _unroll_backward(
-            m.cells, caches, d_top,
-            inject_dim=0 if inject is None else inject.shape[1],
-            inject_layer=inject_layer,
+        # d_top stays the second argument: the benchmark counts this call's
+        # work as len(cells) * len(d_top), layers times steps.
+        d_xs, d_inject, _ = _unroll_backward(
+            m.cells, d_top, tapes,
+            inject_dim=0 if inject is None else inject.shape[-1],
+            inject_layer=m.slot_layer,
             grad_accs=grads.cells,
         )
-        d_e = 0 if m.embedding is None else m.embedding.dim
         if prev is not None:
             t_e, b_e = np.nonzero(prev >= 0)
-            np.add.at(grads.embedding.W_e.T, prev[t_e, b_e], d_xs[t_e, b_e, :d_e])
+            np.add.at(grads.embedding.W_e.T, prev[t_e, b_e], d_xs[t_e, b_e])
         if phi is not None:
             cache, rows = phi
-            if rows is not None:
-                dv = d_xs[rows]
-            elif d_inject is not None:
-                dv = d_inject
-            else:
-                dv = d_xs[..., d_e:].sum(axis=0)
+            dv = d_inject.sum(axis=0) if rows is None else d_xs[rows]
             grads.add_extractor(phi_backward(m.extractor, cache, dv)[1])
     return (nll, per_step) if batch is example else (nll, per_step[0])

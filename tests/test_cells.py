@@ -274,7 +274,7 @@ def test_stack_two_layers_four_steps_finite_differences():
 
     hs, _, caches = stack_forward(cells, xs)
     d_top = [np.ones(3) for _ in range(4)]
-    d_xs, grads, _ = stack_backward(cells, caches, d_top)
+    d_xs, grads = stack_backward(cells, caches, d_top)
 
     for layer, cell in enumerate(cells):
         analytic = dict(grads[layer].blocks())
@@ -305,11 +305,30 @@ def test_weights_shared_across_time():
     xs = [np.array([0.5, -0.5]), np.array([-0.2, 0.9])]
     _, _, caches = stack_forward([p], xs)
     d_top = [np.ones(2), np.ones(2)]
-    _, grads_both, _ = stack_backward([p], caches, d_top)
-    _, grads_last, _ = stack_backward([p], caches, [None, np.ones(2)])
-    _, grads_first, _ = stack_backward([p], caches, [np.ones(2), None])
+    _, grads_both = stack_backward([p], caches, d_top)
+    _, grads_last = stack_backward([p], caches, [None, np.ones(2)])
+    _, grads_first = stack_backward([p], caches, [np.ones(2), None])
     total = grads_first[0].w_x + grads_last[0].w_x
     assert np.allclose(grads_both[0].w_x, total, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "rnn"])
+def test_unroll_keeps_one_tape_per_layer_over_its_hidden_states(kind):
+    from recseq.cells import _unroll
+
+    rng = np.random.default_rng(91)
+    make = LstmCellParams.init if kind == "lstm" else RnnCellParams.init
+    cells = [make(3, 2, rng), make(4, 3, rng)]
+    hs, state, tapes = _unroll(cells, rng.uniform(-1, 1, (5, 2, 2)))
+    assert len(tapes) == len(cells)
+    for layer, (a, h_tape, c_tape, acts, mask) in enumerate(tapes):
+        assert np.shares_memory(h_tape, hs[layer])
+        assert np.array_equal(h_tape[1:], hs[layer])
+        assert np.array_equal(h_tape[-1], state.hs[layer])
+        assert (c_tape is None) == (kind == "rnn")
+        assert acts.shape[:2] == a.shape[:2] and mask is None
+    # Without dropout a layer reads the states below in place.
+    assert np.shares_memory(tapes[1][0], hs[0])
 
 
 def test_recurrent_state_zeroes_match_cells():

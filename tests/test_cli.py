@@ -339,6 +339,24 @@ class TestSynth:
         assert task == "encode_decode"
         assert all(len(ex.inputs) >= 4 for ex in examples)
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--task", "lag", "--lag", "-1"), "lag must be at least 0"),
+        (("--task", "copy", "--count", "0"), "no examples"),
+        (("--task", "copy", "--count", "-1"), "count must be at least 0"),
+        (("--task", "copy", "--seq-len", "0"), "seq_len must be at least 1"),
+        (("--task", "copy", "--vocab-size", "0"), "vocab_size must be at least 1"),
+        (("--task", "order", "--n-fillers", "0"), "n_fillers must be at least 1"),
+        (("--task", "caption", "--noise", "-1"), "noise must be finite and at least 0"),
+        (("--task", "caption", "--noise", "nan"), "noise must be finite and at least 0"),
+    ], ids=["lag", "count_0", "count_negative", "seq_len", "vocab_size", "n_fillers", "noise_negative", "noise_nan"])
+    def test_out_of_range_size_is_refused_before_writing(self, capsys, tmp_path, flags, message):
+        d = tmp_path / "data"
+        code, _, err = run(capsys, "synth", *flags, "--out", str(d))
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
+        assert not d.exists()
+
 
 class TestTrainEvalGenerate:
     def test_copy_pipeline(self, capsys, copy_dir, tmp_path):

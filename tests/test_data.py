@@ -185,6 +185,38 @@ class TestLagRecall:
             assert ex_a.targets == ex_b.targets
 
 
+class TestGeneratorSizes:
+    @pytest.mark.parametrize("generate, message", [
+        (lambda: gen_copy_task(0, vocab_size=0, seq_len=3, count=1), "vocab_size must be at least 1"),
+        (lambda: gen_copy_task(0, vocab_size=3, seq_len=0, count=1), "seq_len must be at least 1"),
+        (lambda: gen_copy_task(0, vocab_size=3, seq_len=3, count=-1), "count must be at least 0"),
+        (lambda: gen_toy_captioning(0, count=1, noise=-0.5), "noise must be finite and at least 0"),
+        (lambda: gen_toy_captioning(0, count=1, noise=float("nan")), "noise must be finite and at least 0"),
+        (lambda: gen_toy_captioning(0, count=1, noise=float("inf")), "noise must be finite and at least 0"),
+        (lambda: gen_toy_captioning(0, count=1, n_colors=0), "n_colors must be at least 1"),
+        (lambda: gen_toy_captioning(0, count=-1), "count must be at least 0"),
+        (lambda: gen_order_task(0, count=1, seq_len=1), "seq_len must be at least 2"),
+        (lambda: gen_order_task(0, count=1, n_fillers=0), "n_fillers must be at least 1"),
+        (lambda: gen_lag_recall(0, count=1, lag=-1), "lag must be at least 0"),
+        (lambda: gen_lag_recall(0, count=1, span=-1), "span must be at least 0"),
+        (lambda: gen_lag_recall(0, count=1, vocab_size=0), "vocab_size must be at least 1"),
+    ], ids=["copy_vocab_size", "copy_seq_len", "copy_count", "noise_negative", "noise_nan", "noise_inf",
+            "n_colors", "caption_count", "order_seq_len", "n_fillers", "lag", "span", "lag_vocab_size"])
+    def test_out_of_range_size_names_the_parameter(self, generate, message):
+        with pytest.raises(ValueError, match=message):
+            generate()
+
+    def test_zero_count_generates_nothing(self):
+        assert gen_copy_task(0, vocab_size=3, seq_len=2, count=0)[0] == []
+        assert gen_lag_recall(0, count=0)[0] == []
+
+    def test_saving_no_examples_is_refused_before_the_directory_exists(self, tmp_path):
+        d = tmp_path / "empty"
+        with pytest.raises(ValueError, match="no examples"):
+            save_task_dir(d, "encode_decode", [])
+        assert not d.exists()
+
+
 class TestTokensFormat:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "corpus.txt"

@@ -384,6 +384,12 @@ class TestBatchedClassification:
         want = [classify_sequence(m, v.frames[s:s + n]) for v, w in zip(videos, windows) for s, n in w]
         np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-14)
 
+    def test_a_bad_video_among_good_ones_is_named_before_stacking(self):
+        m, videos = self.videos()
+        bad = LabeledSequence(np.zeros((4, 5)), 0)
+        with pytest.raises(ValueError, match=r"stack of \(6,\) frames, got \(5,\) frames"):
+            classification_accuracy(m, [videos[0], bad])
+
     def test_wrong_task_is_rejected(self):
         m = build_demo_model("caption_1u", seed=0)
         frames = np.zeros((3, 7))
