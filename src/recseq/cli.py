@@ -274,6 +274,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"seed must be at least 0, got {args.seed}")
     if args.task == "copy":
         examples, vocab = gen_copy_task(args.seed, args.vocab_size, args.seq_len, args.count)
         save_task_dir(args.out, "encode_decode", examples, vocab)

@@ -539,6 +539,8 @@ def save_task_dir(directory, task, examples, vocab: Vocabulary | None = None, me
     """Write a generated dataset as a directory of the standard formats."""
     if not examples:
         raise ValueError("no examples")
+    if task != "caption" and task not in _WINDOWED:
+        raise ValueError(f"cannot save datasets for task {task!r}")
     os.makedirs(directory, exist_ok=True)
     info = {"task": task, "count": str(len(examples))}
     if meta:
@@ -548,7 +550,7 @@ def save_task_dir(directory, task, examples, vocab: Vocabulary | None = None, me
         captions = [vocab.decode(ex.tokens[:-1]) for ex in examples]
         save_tokens(os.path.join(directory, "captions.txt"), captions)
         save_pairs(os.path.join(directory, "pairs.tsv"), [(i, i) for i in range(len(examples))])
-    elif task in _WINDOWED:
+    else:
         feature_file, token_file = _WINDOWED[task]
         xs, ys = zip(*(example_tuple(ex) for ex in examples))
         _save_frames(os.path.join(directory, feature_file), info, np.concatenate(xs))
@@ -559,8 +561,6 @@ def save_task_dir(directory, task, examples, vocab: Vocabulary | None = None, me
         save_windows(os.path.join(directory, "windows.tsv"), [
             (feature_file, start, len(x), y) for start, x, y in zip(starts, xs, ys)
         ])
-    else:
-        raise ValueError(f"cannot save datasets for task {task!r}")
     meta_lines = [f"{k}={v}" for k, v in sorted(info.items())]
     atomic_write_text(os.path.join(directory, "meta.txt"), "\n".join(meta_lines) + "\n")
 

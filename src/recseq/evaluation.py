@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import example_tuple
 from .decoding import greedy_decode
-from .models import ModelSpec, _late_fusion, _log_likelihoods, caption_log_likelihood  # noqa: F401 (re-export)
+from .models import ModelSpec, _late_fusion, _score_grid, caption_log_likelihood  # noqa: F401 (re-export)
 from .tensor_ops import as_f64
 
 __all__ = [
@@ -165,10 +165,9 @@ def score_pairs(m: ModelSpec, image_feats, captions) -> np.ndarray:
 
     Rows follow image_feats, columns follow captions; entry (i, j) is the
     teacher-forced log likelihood of caption j conditioned on feature i.
+    The layers below the image run once per caption, not once per pair.
     """
-    feats = [as_f64(f) for f in image_feats]
-    caps = [list(c) for c in captions]
-    return _log_likelihoods(m, [(f, c) for f in feats for c in caps]).reshape(len(feats), len(caps))
+    return _score_grid(m, list(image_feats), [list(c) for c in captions])
 
 
 def fuse_streams(dists_a, dists_b, w_a: float, w_b: float):

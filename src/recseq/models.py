@@ -32,8 +32,11 @@ every step regardless of what the model would have predicted. Every task
 compiles a minibatch into one time-major plan (layer-1 inputs padded on the
 right, injected vectors, targets with -1 where nothing is emitted, previous
 tokens, extractor scatter) that a single loss body runs through the
-recurrence engine. A model's parameters are one float64 vector; the named
-blocks are views of it.
+recurrence engine. Retrieval scores an images x captions grid: the layers
+below the slot layer never see the visual vector, so they run once per
+caption, and only the layers from the slot layer up run once per pair.
+The loss and the scorer share one output-layer block loop. A model's
+parameters are one float64 vector; the named blocks are views of it.
 """
 
 from __future__ import annotations
@@ -480,7 +483,7 @@ def perstep_decode_step(m: ModelSpec, visual_vec: np.ndarray, prev_token: int, s
 
 def caption_log_likelihood(m: ModelSpec, img_feat: np.ndarray, tokens) -> float:
     """Teacher-forced log likelihood of a caption (ending in EOS) under an extracted feature."""
-    return float(_log_likelihoods(m, [(img_feat, list(tokens))])[0])
+    return float(_score_grid(m, [img_feat], [list(tokens)])[0, 0])
 
 
 def classify_sequence(m: ModelSpec, frames) -> np.ndarray:
@@ -511,16 +514,49 @@ def _steps(batch) -> np.ndarray:
     return batch.input_lengths - 1 + batch.target_lengths  # encode_decode
 
 
-def _log_likelihoods(m: ModelSpec, pairs) -> np.ndarray:
-    """Teacher-forced log likelihood of each (visual vector, tokens) pair."""
-    from .data import SequenceBatch  # deferred: data imports this module
+def _score_grid(m: ModelSpec, feats, caps) -> np.ndarray:
+    """Teacher-forced log likelihood of every caption under every visual
+    vector: an (images, captions) array.
+
+    The layers below the slot layer never see the visual vector, so they run
+    once per caption, in passes over the captions (below a slot at layer 1
+    there are only the embedded tokens). The image-major pairs then run in
+    passes that gather each pair's caption rows of those states and inject
+    its visual vector at the slot layer.
+    """
+    from .data import _pad  # deferred: data imports this module
 
     if m.task not in ("caption", "perstep_decode"):
         raise ValueError(f"cannot score captions with a {m.task} model")
-    # Each pass is padded on its own. The perstep_decode layout tells the
-    # plan that the visual vectors are already extracted.
-    batches = (SequenceBatch.from_examples("perstep_decode", pairs[p]) for p in _passes([len(c) for _, c in pairs]))
-    return -np.array([sum(s) for b in batches for s in sequence_loss_and_grads(m, b)[1]])
+    if len(feats) == 0 or len(caps) == 0:
+        return np.zeros((len(feats), len(caps)))
+    visual = np.array([_check_visual(m, v) for v in feats])
+    tokens, lengths = _pad(caps, np.int64)
+    _check_tokens(m, tokens, lengths)
+    # Time-major targets and embedded previous tokens; a padded step embeds
+    # a padding token, which right padding keeps out of every real step.
+    targets = tokens.T
+    prev = np.concatenate([np.full((1, len(caps)), m.vocab.bos), targets[:-1]])
+    below = m.embedding.W_e.T[prev]
+    if m.slot_layer:
+        states = np.zeros(below.shape[:2] + (m.cells[m.slot_layer - 1].n_hidden,))
+        for p in _passes(lengths):
+            n = lengths[p].max()
+            hs, _, _ = _unroll(m.cells[:m.slot_layer], below[:n, p], lengths=lengths[p])
+            states[:n, p] = hs[-1]
+        below = states
+    steps = np.tile(lengths, len(visual))
+    out = np.empty(len(steps))
+    for p in _passes(steps):
+        img, cap = np.divmod(np.arange(p.start, p.stop), len(caps))
+        n = steps[p]
+        hs, _, _ = _unroll(m.cells[m.slot_layer:], below[:n.max(), cap], inject=visual[img], lengths=n)
+        # Emitting steps pair by pair, each pair's in step order, summed in
+        # that order as the loss sums an example's terms.
+        b_idx, t_idx = np.nonzero(np.arange(n.max()) < n[:, None])
+        nlls, _ = _emission_nlls(m, hs[-1][t_idx, b_idx], targets[t_idx, cap[b_idx]])
+        out[p] = -np.bincount(b_idx, weights=nlls, minlength=len(n))
+    return out.reshape(len(visual), len(caps))
 
 
 def _late_fusion(m: ModelSpec, videos, windows=None) -> np.ndarray:
@@ -679,7 +715,7 @@ def _batch_plan(m: ModelSpec, batch):
         inject = np.zeros((len(targets), B, m.input_dim))
         n_in = batch.input_lengths.max()
         inject[:n_in] = batch.inputs[:, :n_in].swapaxes(0, 1)
-    elif batch.task == m.task == "caption":  # a perstep_decode batch holds extracted vectors
+    elif m.task == "caption":
         inject, cache = phi_forward(m.extractor, batch.inputs)
         phi = (cache, None)
     else:
@@ -688,6 +724,32 @@ def _batch_plan(m: ModelSpec, batch):
     t_e, b_e = np.nonzero(prev >= 0)
     xs[t_e, b_e] = m.embedding.W_e.T[prev[t_e, b_e]]
     return xs, inject, targets, prev, phi, steps
+
+
+def _emission_nlls(m: ModelSpec, top: np.ndarray, tgt: np.ndarray, grads: ModelGrads | None = None, scale=1.0):
+    """-log p of each target under its row of top-layer states, through the
+    output layer and a log-softmax over blocks of ``_LOGIT_BLOCK`` logits.
+
+    With ``grads``, the output layer's gradients scaled by ``scale`` are
+    accumulated into it. Returns (nlls, gradients of the rows of ``top``,
+    None without ``grads``).
+    """
+    nlls = np.empty(len(tgt))
+    d_top = None if grads is None else np.empty_like(top)
+    W_z, span = m.prediction.W_z, max(1, _LOGIT_BLOCK // m.prediction.n_out)
+    for lo in range(0, len(tgt), span):
+        rows = slice(lo, lo + span)
+        lp = log_softmax(top[rows] @ W_z.T + m.prediction.b_z)
+        picked = np.arange(len(lp)), tgt[rows]
+        nlls[rows] = -lp[picked]
+        if grads is not None:
+            dl = np.exp(lp)
+            dl[picked] -= 1.0
+            dl *= scale
+            grads.prediction.W_z += dl.T @ top[rows]
+            grads.prediction.b_z += dl.sum(axis=0)
+            d_top[rows] = dl @ W_z
+    return nlls, d_top
 
 
 def sequence_loss_and_grads(m: ModelSpec, example, grads: ModelGrads | None = None, scale: float = 1.0, drop=None):
@@ -713,8 +775,7 @@ def sequence_loss_and_grads(m: ModelSpec, example, grads: ModelGrads | None = No
     from .data import SequenceBatch  # deferred: data imports this module
 
     batch = example if isinstance(example, SequenceBatch) else SequenceBatch.from_examples(m.task, [example])
-    # A caption model also scores extracted vectors, batched as perstep_decode.
-    if batch.task != m.task and (m.task, batch.task) != ("caption", "perstep_decode"):
+    if batch.task != m.task:
         raise ValueError(f"a {batch.task} batch does not fit a {m.task} model")
     passes = list(_passes(_steps(batch)))
     if len(passes) > 1:
@@ -727,25 +788,13 @@ def sequence_loss_and_grads(m: ModelSpec, example, grads: ModelGrads | None = No
         tapes = None  # scoring frees the tapes before the logit blocks
     # Emitting steps example by example, each example's in step order.
     b_idx, t_idx = np.nonzero(targets.T >= 0)
-    top, tgt = hs[-1][t_idx, b_idx], targets[t_idx, b_idx]
-    nlls, d_top = np.empty(len(tgt)), np.zeros_like(hs[-1])
-    W_z, span = m.prediction.W_z, max(1, _LOGIT_BLOCK // m.prediction.n_out)
-    for lo in range(0, len(tgt), span):
-        rows = slice(lo, lo + span)
-        lp = log_softmax(top[rows] @ W_z.T + m.prediction.b_z)
-        picked = np.arange(len(lp)), tgt[rows]
-        nlls[rows] = -lp[picked]
-        if grads is not None:
-            dl = np.exp(lp)
-            dl[picked] -= 1.0
-            dl *= scale
-            grads.prediction.W_z += dl.T @ top[rows]
-            grads.prediction.b_z += dl.sum(axis=0)
-            d_top[t_idx[rows], b_idx[rows]] = dl @ W_z
+    nlls, d_rows = _emission_nlls(m, hs[-1][t_idx, b_idx], targets[t_idx, b_idx], grads, scale)
     ends = np.cumsum(np.bincount(b_idx, minlength=len(batch)))[:-1]
     per_step = [part.tolist() for part in np.split(nlls, ends)]
     nll = sum(sum(part) for part in per_step)
     if grads is not None:
+        d_top = np.zeros_like(hs[-1])
+        d_top[t_idx, b_idx] = d_rows
         # d_top stays the second argument: the benchmark counts this call's
         # work as len(cells) * len(d_top), layers times steps.
         d_xs, d_inject, _ = _unroll_backward(

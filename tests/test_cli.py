@@ -348,7 +348,9 @@ class TestSynth:
         (("--task", "order", "--n-fillers", "0"), "n_fillers must be at least 1"),
         (("--task", "caption", "--noise", "-1"), "noise must be finite and at least 0"),
         (("--task", "caption", "--noise", "nan"), "noise must be finite and at least 0"),
-    ], ids=["lag", "count_0", "count_negative", "seq_len", "vocab_size", "n_fillers", "noise_negative", "noise_nan"])
+        (("--task", "copy", "--seed", "-1"), "seed must be at least 0, got -1"),
+    ], ids=["lag", "count_0", "count_negative", "seq_len", "vocab_size", "n_fillers", "noise_negative", "noise_nan",
+            "seed_negative"])
     def test_out_of_range_size_is_refused_before_writing(self, capsys, tmp_path, flags, message):
         d = tmp_path / "data"
         code, _, err = run(capsys, "synth", *flags, "--out", str(d))

@@ -439,6 +439,13 @@ class TestTaskDirs:
         with pytest.raises(DataFormatError):
             load_task_dir(d)
 
+    def test_unknown_task_is_refused_before_the_directory_is_made(self, tmp_path):
+        examples, vocab = gen_copy_task(seed=0, vocab_size=5, seq_len=3, count=2)
+        d = tmp_path / "bogus"
+        with pytest.raises(ValueError, match="cannot save datasets for task 'bogus'"):
+            save_task_dir(d, "bogus", examples, vocab=vocab)
+        assert not d.exists()
+
     def test_unknown_task_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_task_dir(tmp_path / "x", "regress", [])

@@ -260,6 +260,22 @@ def stepwise_log_likelihood(m, visual, caption):
     return total
 
 
+TOKEN_TOPOLOGIES = ["caption_1u", "caption_2u", "caption_2f", "perstep_decode"]
+
+
+def record_layers(monkeypatch, m):
+    """(first layer, layer count) of each engine pass of ``m``, in call order."""
+    layers = []
+    unroll = recseq.models._unroll
+
+    def recorded(cells, *args, **kwargs):
+        layers.append((next(k for k, c in enumerate(m.cells) if c is cells[0]), len(cells)))
+        return unroll(cells, *args, **kwargs)
+
+    monkeypatch.setattr(recseq.models, "_unroll", recorded)
+    return layers
+
+
 class TestBatchedScorePairs:
     def grid(self, topology):
         m = build_demo_model(topology, seed=2)
@@ -282,20 +298,108 @@ class TestBatchedScorePairs:
 
     @pytest.mark.parametrize("topology", ["caption_2f", "perstep_decode"])
     def test_one_unroll_per_group_of_pairs(self, monkeypatch, unrolls, topology):
-        # 35 pairs run as three or more passes of at most 40 padded steps.
+        # Passes of at most 40 padded steps: the 7 captions run through the
+        # layers below the slot (none for perstep_decode) in two passes, then
+        # the 35 pairs through the layers from the slot up in three or more.
         m, feats, caps = self.grid(topology)
         want = score_pairs(m, feats, caps)
+        layers = record_layers(monkeypatch, m)
         monkeypatch.setattr(recseq.models, "_PASS_STEPS", 40)
         unrolls.clear()
         got = score_pairs(m, feats, caps)
-        assert len(unrolls) >= 3
-        assert_passes_keep_the_budget(unrolls, [len(c) for _ in feats for c in caps])
+        below = layers.count((0, m.slot_layer))
+        assert below == (2 if m.slot_layer else 0)
+        assert layers == [(0, m.slot_layer)] * below + [(m.slot_layer, m.n_layers - m.slot_layer)] * (len(layers) - below)
+        if below:
+            assert_passes_keep_the_budget(unrolls[:below], [len(c) for c in caps])
+        assert len(unrolls) - below >= 3
+        assert_passes_keep_the_budget(unrolls[below:], [len(c) for _ in feats for c in caps])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_empty_sides_keep_their_shape(self):
         m, feats, caps = self.grid("caption_2f")
         assert score_pairs(m, [], caps).shape == (0, len(caps))
         assert score_pairs(m, feats, []).shape == (len(feats), 0)
+
+    def assert_stepwise(self, m, feats, caps, request=None):
+        """Scores equal the stepwise sums; with ``request``, returns the
+        scoring's engine passes (the stepwise steps are not recorded)."""
+        want = [[stepwise_log_likelihood(m, f, c) for c in caps] for f in feats]
+        passes = None if request is None else request.getfixturevalue("unrolls")
+        scores = score_pairs(m, feats, caps)
+        assert scores.shape == (len(feats), len(caps))
+        np.testing.assert_allclose(scores, want, rtol=0, atol=1e-12)
+        return passes
+
+    @pytest.mark.parametrize("topology", TOKEN_TOPOLOGIES)
+    def test_duplicated_captions_equal_stepwise_sums(self, topology):
+        m, feats, caps = self.grid(topology)
+        self.assert_stepwise(m, feats, [caps[2], caps[0], caps[2], caps[4], caps[0], caps[4]])
+
+    @pytest.mark.parametrize("topology", TOKEN_TOPOLOGIES)
+    def test_one_image_many_captions_and_many_images_one_caption(self, topology):
+        m, feats, caps = self.grid(topology)
+        self.assert_stepwise(m, feats[:1], caps)
+        self.assert_stepwise(m, feats, caps[4:5])
+
+    @pytest.mark.parametrize("topology", TOKEN_TOPOLOGIES)
+    def test_a_caption_longer_than_a_pass_runs_alone(self, monkeypatch, request, topology):
+        m, feats, caps = self.grid(topology)
+        monkeypatch.setattr(recseq.models, "_PASS_STEPS", 6)
+        long = caps[4]
+        assert len(long) > recseq.models._PASS_STEPS
+        unrolls = self.assert_stepwise(m, feats[:2], caps[3:6], request)
+        # Once on the caption side (below a slot at layer 2), once per image.
+        with_long = [len(p) for p in unrolls if p.max() == len(long)]
+        assert with_long == [1] * (2 + (m.slot_layer > 0))
+
+    @pytest.mark.parametrize("topology", TOKEN_TOPOLOGIES)
+    def test_split_caption_and_pair_passes_equal_stepwise_sums(self, monkeypatch, request, topology):
+        m, feats, caps = self.grid(topology)
+        monkeypatch.setattr(recseq.models, "_PASS_STEPS", 12)
+        unrolls = self.assert_stepwise(m, feats, caps, request)
+        ends = np.cumsum([len(p) for p in unrolls])
+        below = int(np.flatnonzero(ends == len(caps))[0]) + 1 if m.slot_layer else 0
+        assert below != 1 and len(unrolls) - below > 1
+        if below:
+            assert_passes_keep_the_budget(unrolls[:below], [len(c) for c in caps])
+        assert_passes_keep_the_budget(unrolls[below:], [len(c) for _ in feats for c in caps])
+
+    @pytest.mark.parametrize("topology", TOKEN_TOPOLOGIES)
+    def test_each_caption_and_each_visual_vector_is_checked_once(self, monkeypatch, topology):
+        m, feats, caps = self.grid(topology)
+        calls = []
+
+        def counting(name):
+            check = getattr(recseq.models, name)
+
+            def counted(m, x, *rest):
+                calls.append((name, len(x)))
+                return check(m, x, *rest)
+
+            return counted
+
+        for name in ("_check_visual", "_check_tokens"):
+            monkeypatch.setattr(recseq.models, name, counting(name))
+        score_pairs(m, feats, caps)
+        assert calls == [("_check_visual", len(feats[0]))] * len(feats) + [("_check_tokens", len(caps))]
+
+    @pytest.mark.parametrize("topology", TOKEN_TOPOLOGIES)
+    def test_bad_inputs_raise_and_empty_sides_keep_their_shape(self, topology):
+        m, feats, caps = self.grid(topology)
+        eos = m.vocab.eos
+        for bad in [(), (0, 1), (m.vocab.size, eos), (-1, eos)]:
+            with pytest.raises(ValueError):
+                score_pairs(m, feats, caps[:2] + [bad])
+        bad_visual = [np.zeros(len(feats[0]) + 1)]
+        if m.task == "perstep_decode":
+            bad_visual.append(np.zeros(len(feats[0])))  # probability blocks that do not sum to one
+        for bad in bad_visual:
+            with pytest.raises(ValueError):
+                score_pairs(m, feats[:2] + [bad], caps)
+        assert score_pairs(m, [], caps).shape == (0, len(caps))
+        assert score_pairs(m, feats, []).shape == (len(feats), 0)
+        assert score_pairs(m, [], []).shape == (0, 0)
 
     def test_wrong_task_is_rejected(self):
         m = build_demo_model("classify", seed=0)

@@ -451,6 +451,7 @@ def test_stepper_agrees_with_teacher_forcing(topology, cell):
     ("encode_decode", "caption_1u"),
     ("classify", "caption_1u"),
     ("caption_1u", "classify"),
+    ("caption_1u", "perstep_decode"),
 ])
 def test_a_batch_of_another_task_is_refused_naming_both(model_topology, batch_topology):
     m = build_demo_model(model_topology, seed=0)
