@@ -24,7 +24,9 @@ steps and each step adds one recurrent GEMM. The single-step functions are
 one-step calls into it. Each layer's forward leaves one tape, the arrays
 it filled: (input, hidden states, cell states, activations, dropout
 mask). A step's cache is the pair (tape, t); backward walks the layers top
-down and their steps in reverse.
+down and their steps in reverse. A decode step never runs a backward, so
+it keeps no tape: :func:`_stack_step` applies the same cell formulas
+(:func:`_lstm_cell`, :func:`_rnn_cell`) straight to the state vectors.
 Cells emit only hidden states; output layers live with the task models.
 """
 
@@ -195,6 +197,13 @@ def _lstm_cell(p: LstmCellParams, act, h_prev, c_prev):
     return act[..., 2 * n:3 * n] * np.tanh(c), c
 
 
+def _rnn_cell(p: RnnCellParams, act, h_prev):
+    """The vanilla step. ``act`` holds W_xh x + b_h on entry and the
+    pre-activations on return. Returns h."""
+    act += h_prev @ p.W_hh.T
+    return np.tanh(act) if p.nonlinearity == "tanh" else sigmoid(act)
+
+
 def _layer_forward(cell, a, h0, c0, mask):
     """Run one layer over time-major inputs ``a`` (T, ..., d) from (h0, c0).
 
@@ -219,8 +228,7 @@ def _layer_forward(cell, a, h0, c0, mask):
         if lstm:
             hs[t + 1], cs[t + 1] = _lstm_cell(cell, acts[t], hs[t], cs[t])
         else:
-            acts[t] += hs[t] @ cell.W_hh.T
-            hs[t + 1] = np.tanh(acts[t]) if cell.nonlinearity == "tanh" else sigmoid(acts[t])
+            hs[t + 1] = _rnn_cell(cell, acts[t], hs[t])
     return a, hs, cs, acts, mask
 
 
@@ -334,11 +342,13 @@ def _dropout_masks(cells, n_steps, lengths, drop):
     """
     p, rng = drop
     dims = [c.n_input for c in cells]
+    # One draw whose rows are the real steps example by example: the
+    # generator yields the same numbers as one draw per example.
+    b_idx, t_idx = np.nonzero(np.arange(n_steps) < np.asarray(lengths)[:, None])
+    drawn = dropout_mask((len(b_idx), sum(dims)), p, rng)
     masks = [np.zeros((n_steps, len(lengths), d)) for d in dims]
-    for b, n in enumerate(lengths):
-        drawn = dropout_mask((int(n), sum(dims)), p, rng)
-        for mask, part in zip(masks, np.split(drawn, np.cumsum(dims)[:-1], axis=1)):
-            mask[:n, b] = part
+    for mask, lo, d in zip(masks, np.cumsum([0] + dims), dims):
+        mask[t_idx, b_idx] = drawn[:, lo:lo + d]
     return masks
 
 
@@ -378,6 +388,30 @@ def _unroll(cells, xs, initial=None, inject=None, inject_layer=0, drop=None, len
         below = h_seq[1:]
         hs.append(below)
     return hs, finals, tapes
+
+
+def _stack_step(cells, x, state, inject, inject_layer):
+    """One step of a stack of cells on state vectors, keeping no tape.
+
+    x is the layer-1 input vector and ``inject`` the slot joined after the
+    input of layer ``inject_layer`` (0-based). Each layer's input product
+    has the engine's (1, d) row shape, so the step computes what a one-step
+    :func:`_unroll` computes. Returns (top hidden vector, new state).
+    """
+    new = RecurrentState([], [])
+    below = x
+    for layer, cell in enumerate(cells):
+        if layer == inject_layer:
+            below = np.concatenate([below, inject])
+        w_x, _, b = (getattr(cell, name) for name in cell.PARAMS)
+        act = (below[None] @ w_x.T + b)[0]
+        if isinstance(cell, LstmCellParams):
+            below, c = _lstm_cell(cell, act, state.hs[layer], state.cs[layer])
+        else:
+            below, c = _rnn_cell(cell, act, state.hs[layer]), None
+        new.hs.append(below)
+        new.cs.append(c)
+    return below, new
 
 
 def _unroll_backward(cells, d_top, tapes, inject_dim=0, inject_layer=0, grad_accs=None):

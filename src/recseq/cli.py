@@ -94,6 +94,12 @@ _TRAIN_SCHEMA = {
 }
 
 
+def _check_seed(seed: int):
+    """Refuse a negative generator seed by name; numpy's own message names no option."""
+    if seed < 0:
+        raise UsageError(f"seed must be at least 0, got {seed}")
+
+
 def _resolve_train_options(args):
     """(resolved options, the keys given by a flag or the config file)."""
     file_cfg = load_kv(args.config) if args.config else {}
@@ -158,6 +164,7 @@ def _build_from_data(task, examples, aux, opts):
 
 def _cmd_train(args) -> int:
     opts, given = _resolve_train_options(args)
+    _check_seed(opts["seed"])
     task, examples, aux = load_task_dir(args.data)
     _refuse_unread_options(task, opts, given)
     m = _build_from_data(task, examples, aux, opts)
@@ -237,6 +244,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    _check_seed(args.seed)
     m, task, examples = _load_model_and_data(args)
     if task == "classify":
         raise UsageError("generate applies to token tasks")
@@ -258,6 +266,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    _check_seed(args.seed)
     topologies = GRADCHECK_TOPOLOGIES if args.task == "all" else (args.task,)
     failed = False
     for topology in topologies:
@@ -274,8 +283,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.seed < 0:
-        raise UsageError(f"seed must be at least 0, got {args.seed}")
+    _check_seed(args.seed)
     if args.task == "copy":
         examples, vocab = gen_copy_task(args.seed, args.vocab_size, args.seq_len, args.count)
         save_task_dir(args.out, "encode_decode", examples, vocab)

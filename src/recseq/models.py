@@ -25,7 +25,9 @@ Three families of sequence problems share one recurrent core:
 The slot of a token task (the visual vector, or the encoder-decoder's input
 vector) enters the recurrence through the engine's ``inject``, joined after
 the embedded token: at layer 2 of a factored model, else at layer 1, whose
-input is then [embedded token, slot].
+input is then [embedded token, slot]. A decode step joins the slot the same
+way but runs the shared cell formulas on the state vectors without a tape,
+since nothing differentiates a decode.
 
 Training-time losses are teacher forced: the gold previous token is fed at
 every step regardless of what the model would have predicted. Every task
@@ -45,7 +47,7 @@ import copy
 
 import numpy as np
 
-from .cells import LstmCellParams, RecurrentState, RnnCellParams, _unroll, _unroll_backward
+from .cells import LstmCellParams, RecurrentState, RnnCellParams, _stack_step, _unroll, _unroll_backward
 from .features import phi_backward, phi_forward
 from .tensor_ops import NamedParams, as_f64, log_softmax, softmax, uniform_fan_in
 
@@ -455,9 +457,8 @@ def _check_encoder_inputs(m: ModelSpec, inputs) -> np.ndarray:
 def _decode_step(m: ModelSpec, slot: np.ndarray, prev_token: int, state: RecurrentState):
     """One step of every token task: the embedded previous token, with
     ``slot`` injected at the model's slot layer. Returns (logits, new state)."""
-    e = embed(m.embedding, prev_token)
-    hs, new_state, _ = _unroll(m.cells, e[None], initial=state, inject=slot, inject_layer=m.slot_layer)
-    return m.prediction.W_z @ hs[-1][0] + m.prediction.b_z, new_state
+    h, new_state = _stack_step(m.cells, embed(m.embedding, prev_token), state, slot, m.slot_layer)
+    return m.prediction.W_z @ h + m.prediction.b_z, new_state
 
 
 def _visual_step(m: ModelSpec, task: str, visual: np.ndarray, prev_token: int, state: RecurrentState):

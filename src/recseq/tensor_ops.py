@@ -1,10 +1,10 @@
-"""Elementwise and linear-algebra primitives on float64 numpy arrays.
+"""Elementwise primitives on float64 numpy arrays.
 
 All tensors in this package are plain ``numpy.ndarray`` values with dtype
-float64 and C (row-major) layout. Dense products are delegated to numpy;
-the functions here add the shape checking, numerical stabilization and
-small conventions the rest of the package relies on. :class:`NamedParams`
-is the base of every parameter container.
+float64 and C (row-major) layout. Dense products are numpy's own ``@``;
+the functions here add the numerical stabilization and small conventions
+the rest of the package relies on. :class:`NamedParams` is the base of
+every parameter container.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from .errors import NumericError
 __all__ = [
     "as_f64",
     "NamedParams",
-    "matmul",
     "sigmoid",
-    "tanh_act",
     "softmax",
     "log_softmax",
     "finite_diff_grad",
@@ -47,31 +45,11 @@ class NamedParams:
         return [(name, getattr(self, name)) for name in self.PARAMS]
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D arrays.
-
-    Raises ValueError naming both shapes when the inner dimensions do not
-    agree, so callers can surface wiring mistakes directly.
-    """
-    a = as_f64(a)
-    b = as_f64(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-x)), stable for large |x|."""
     x = as_f64(x)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def tanh_act(x: np.ndarray) -> np.ndarray:
-    """Hyperbolic tangent activation."""
-    return np.tanh(as_f64(x))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

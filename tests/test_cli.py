@@ -313,6 +313,26 @@ class TestFailureContract:
         assert out.startswith("0\t")
 
 
+NEGATIVE_SEEDS = [
+    ("train_flag", lambda t, c: _train_order(t, c, "--seed", "-1")),
+    ("train_config_key", lambda t, c: _train_order(t, c, "--config", _config(t, "seed=-1\n"))),
+    ("generate_sample", lambda t, c: _sample_copy(t, c, "--seed", "-1")),
+    ("gradcheck", lambda t, c: ["gradcheck", "--task", "caption_1u", "--seed", "-1"]),
+]
+
+
+@pytest.mark.parametrize("build", [case[1] for case in NEGATIVE_SEEDS], ids=[case[0] for case in NEGATIVE_SEEDS])
+def test_a_negative_seed_is_refused_by_name(capsys, tmp_path, build):
+    argv = build(tmp_path, capsys)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "error: seed must be at least 0, got -1" in err
+    assert "Traceback" not in out + err
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 class TestSynth:
     def test_copy_dataset_round_trips(self, copy_dir):
         task, examples, vocab = load_task_dir(copy_dir)

@@ -447,6 +447,53 @@ def test_stepper_agrees_with_teacher_forcing(topology, cell):
         np.testing.assert_allclose(stepped, per_step, rtol=0, atol=1e-12)
 
 
+def _unroll_step(m, slot, prev_token, state):
+    """A decode step as a one-step call into the training engine."""
+    from recseq.cells import _unroll
+
+    e = embed(m.embedding, prev_token)
+    hs, new_state, _ = _unroll(m.cells, e[None], initial=state, inject=slot, inject_layer=m.slot_layer)
+    return m.prediction.W_z @ hs[-1][0] + m.prediction.b_z, new_state
+
+
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+@pytest.mark.parametrize("topology", TOKEN_TOPOLOGIES)
+def test_decode_step_equals_a_one_step_unroll_bit_for_bit(topology, cell):
+    """The tape-free decode step gives the engine's logits and states exactly,
+    along a whole token sequence, including encode_decode's boundary step."""
+    from recseq.features import phi_forward
+    from recseq.models import _decode_step
+
+    m = build_demo_model(topology, seed=4, cell=cell)
+    batch = build_demo_batch(topology, m, seed=4, n_sequences=3)
+    for features, tokens in (batch.example(b) for b in range(len(batch))):
+        state, _ = make_stepper(m, features)
+        if topology == "encode_decode":
+            slots = [features[-1]] + [np.zeros(m.input_dim)] * (len(tokens) - 1)
+        else:
+            visual = phi_forward(m.extractor, features)[0] if m.task == "caption" else features
+            slots = [visual] * len(tokens)
+        got = want = state
+        for slot, prev in zip(slots, (m.vocab.bos,) + tuple(tokens[:-1])):
+            logits, got = _decode_step(m, slot, prev, got)
+            ref_logits, want = _unroll_step(m, slot, prev, want)
+            assert np.array_equal(logits, ref_logits)
+            for layer in range(m.n_layers):
+                assert np.array_equal(got.hs[layer], want.hs[layer])
+                assert (got.cs[layer] is None) == (want.cs[layer] is None)
+                if want.cs[layer] is not None:
+                    assert np.array_equal(got.cs[layer], want.cs[layer])
+
+
+@pytest.mark.parametrize("token", [-1, 6])
+def test_caption_step_refuses_an_out_of_range_previous_token(token):
+    m = build_demo_model("caption_2f", seed=0)
+    feat = np.zeros(m.extractor.out_dim)
+    assert m.vocab.size == 6
+    with pytest.raises(ValueError, match=f"token id {token} out of range"):
+        caption_step(m, feat, token, initial_state(m))
+
+
 @pytest.mark.parametrize("model_topology, batch_topology", [
     ("encode_decode", "caption_1u"),
     ("classify", "caption_1u"),

@@ -14,50 +14,9 @@ from recseq.tensor_ops import (
     dropout_mask,
     finite_diff_grad,
     log_softmax,
-    matmul,
     sigmoid,
     softmax,
-    tanh_act,
 )
-
-
-def matmul_reference(a, b):
-    """Naive triple loop, the independent route for matmul."""
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-def test_matmul_against_triple_loop():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 2))
-    got = matmul(a, b)
-    want = matmul_reference(a, b)
-    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-
-
-def test_matmul_larger_shapes():
-    rng = np.random.default_rng(1)
-    for n, k, m in ((1, 1, 1), (5, 7, 3), (64, 64, 64)):
-        a = rng.standard_normal((n, k))
-        b = rng.standard_normal((k, m))
-        want = matmul_reference(a, b)
-        scale = max(1.0, np.max(np.abs(want)))
-        assert np.max(np.abs(matmul(a, b) - want)) <= 1e-12 * scale
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(ValueError) as err:
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-    assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
 
 
 def test_sigmoid_saturation():
@@ -98,7 +57,7 @@ def test_sigmoid_extreme_inputs_finite():
 @given(st.floats(min_value=-30, max_value=30))
 def test_tanh_sigmoid_identity(x):
     # tanh(x) = 2 sigmoid(2x) - 1
-    lhs = float(tanh_act(np.array(x)))
+    lhs = float(np.tanh(x))
     rhs = 2.0 * float(sigmoid(np.array(2.0 * x))) - 1.0
     assert abs(lhs - rhs) < 1e-12
 
