@@ -790,8 +790,9 @@ def sequence_loss_and_grads(m: ModelSpec, example, grads: ModelGrads | None = No
     # Emitting steps example by example, each example's in step order.
     b_idx, t_idx = np.nonzero(targets.T >= 0)
     nlls, d_rows = _emission_nlls(m, hs[-1][t_idx, b_idx], targets[t_idx, b_idx], grads, scale)
-    ends = np.cumsum(np.bincount(b_idx, minlength=len(batch)))[:-1]
-    per_step = [part.tolist() for part in np.split(nlls, ends)]
+    ends = np.cumsum(np.bincount(b_idx, minlength=len(batch))).tolist()
+    flat = nlls.tolist()
+    per_step = [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
     nll = sum(sum(part) for part in per_step)
     if grads is not None:
         d_top = np.zeros_like(hs[-1])

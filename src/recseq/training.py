@@ -16,6 +16,7 @@ exactly repeatable.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -107,11 +108,15 @@ class LossReport:
 
     @classmethod
     def of_batch(cls, nll: float, per_step) -> "LossReport":
-        """A batch's report from its total NLL and each sequence's per-step NLLs."""
-        report = cls(total_nll=nll)
-        for steps in per_step:
-            report.add_sequence(0.0, steps)
-        return report
+        """A batch's report from its total NLL and each sequence's per-step NLLs.
+
+        Step totals add the sequences' terms in batch order from 0.0, as
+        merging one report per sequence would.
+        """
+        lengths = [len(steps) for steps in per_step]
+        totals = [sum(column) for column in itertools.zip_longest(*per_step, fillvalue=0.0)]
+        counts = [sum(n > idx for n in lengths) for idx in range(len(totals))]
+        return cls(len(per_step), sum(lengths), nll, totals, counts)
 
     def merge(self, other: "LossReport"):
         self.n_sequences += other.n_sequences
@@ -131,12 +136,22 @@ def sequence_nll(m: ModelSpec, batch: SequenceBatch) -> LossReport:
     return LossReport.of_batch(*sequence_loss_and_grads(m, batch))
 
 
-def _sgd_step(m: ModelSpec, batch: SequenceBatch, cfg: TrainConfig, rng) -> LossReport:
+def _gradient_buffer(m: ModelSpec, cfg: TrainConfig) -> ModelGrads:
+    """Check cfg.frozen against the model's blocks; return a zero gradient."""
     if cfg.frozen:
         unknown = sorted(set(cfg.frozen) - {name for name, _ in m.blocks()})
         if unknown:
             raise ValueError(f"frozen names that are not parameter blocks of this model: {unknown}")
-    grads = ModelGrads(m)
+    return ModelGrads(m)
+
+
+def _sgd_step(m: ModelSpec, batch: SequenceBatch, cfg: TrainConfig, rng, grads: ModelGrads | None = None) -> LossReport:
+    """One update. ``grads`` is a buffer from :func:`_gradient_buffer`,
+    zeroed here and reused across the steps of a run."""
+    if grads is None:
+        grads = _gradient_buffer(m, cfg)
+    else:
+        grads.params.fill(0.0)
     drop = (cfg.dropout, rng) if cfg.dropout > 0.0 else None
     nll, per_step = sequence_loss_and_grads(m, batch, grads, scale=1.0 / len(batch), drop=drop)
     if not np.isfinite(nll):
@@ -171,9 +186,10 @@ def train_epoch(m: ModelSpec, batches, cfg: TrainConfig, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    grads = _gradient_buffer(m, cfg)
     report = LossReport()
     for batch in batches:
-        report.merge(_sgd_step(m, batch, cfg, rng))
+        report.merge(_sgd_step(m, batch, cfg, rng, grads))
     return m, report
 
 
@@ -191,6 +207,7 @@ def fit(m: ModelSpec, examples, cfg: TrainConfig, log=None, stop_fn=None):
     sequence, wall seconds). stop_fn(m, epoch, report) may end training
     early by returning True. Returns (m, reports).
     """
+    grads = _gradient_buffer(m, cfg)
     rng = np.random.default_rng(cfg.seed)
     reports = []
     n = len(examples)
@@ -203,7 +220,7 @@ def fit(m: ModelSpec, examples, cfg: TrainConfig, log=None, stop_fn=None):
             if m.task == "classify" and cfg.clip_len is not None:
                 chosen = [LabeledSequence(_clip_frames(ex.frames, cfg.clip_len, rng), ex.label) for ex in chosen]
             batch = SequenceBatch.from_examples(m.task, chosen)
-            epoch_report.merge(_sgd_step(m, batch, cfg, rng))
+            epoch_report.merge(_sgd_step(m, batch, cfg, rng, grads))
         reports.append(epoch_report)
         if log is not None:
             elapsed = time.perf_counter() - start_time

@@ -75,6 +75,18 @@ class TestLossReport:
         assert a.step_totals == both.step_totals
         assert a.step_counts == both.step_counts
 
+    def test_of_batch_equals_one_merged_report_per_sequence(self):
+        rng = np.random.default_rng(3)
+        per_step = [rng.exponential(1.0, n).tolist() for n in (3, 1, 5, 0, 2)]
+        per_step[1][0] = -0.0
+        nll = sum(sum(steps) for steps in per_step)
+        want = LossReport(total_nll=nll)
+        for steps in per_step:
+            want.merge(LossReport(1, len(steps), 0.0, list(steps), [1] * len(steps)))
+        got = LossReport.of_batch(nll, per_step)
+        assert got == want
+        assert [math.copysign(1.0, t) for t in got.step_totals] == [1.0] * 5
+
 
 class TestBatchObjective:
     def test_zero_params_give_uniform_nll(self):
@@ -176,6 +188,19 @@ class TestFit:
 
 
 class TestConstraints:
+    def test_fit_zeroes_one_gradient_buffer_in_place(self, monkeypatch):
+        built = []
+
+        class Counted(ModelGrads):
+            def __init__(self, m):
+                super().__init__(m)
+                built.append(self)
+
+        monkeypatch.setattr(recseq.training, "ModelGrads", Counted)
+        m = build_demo_model("encode_decode", seed=5)
+        fit(m, demo_examples("encode_decode", m, range(6)), TrainConfig(lr=0.3, epochs=2, batch_size=2, seed=0))
+        assert len(built) == 1
+
     def test_frozen_blocks_never_move(self):
         m = build_demo_model("encode_decode", seed=5)
         examples = demo_examples("encode_decode", m, range(4))
