@@ -23,8 +23,13 @@ batch alike: per layer, the input product is one GEMM over all time-major
 steps and each step adds one recurrent GEMM. The single-step functions are
 one-step calls into it. Each layer's forward leaves one tape, the arrays
 it filled: (input, hidden states, cell states, activations, dropout
-mask). A step's cache is the pair (tape, t); backward walks the layers top
-down and their steps in reverse. A decode step never runs a backward, so
+mask). A step's cache is the pair (tape, t). Backward walks the layers
+top down, one :func:`_layer_backward` per layer: the gate derivatives of
+all steps come from the tape at once, the reverse step loop carries only
+the state gradients and the recurrent product, and the parameter and
+input gradients are one product each over all steps. The single-step
+backward functions are one-step calls into it. The LSTM gates take one
+tanh over all four blocks. A decode step never runs a backward, so
 it keeps no tape: :func:`_stack_step` applies the same cell formulas
 (:func:`_lstm_cell`, :func:`_rnn_cell`) straight to the state vectors.
 Cells emit only hidden states; output layers live with the task models.
@@ -188,11 +193,17 @@ class RnnCellParams(NamedParams):
 
 def _lstm_cell(p: LstmCellParams, act, h_prev, c_prev):
     """The LSTM step. ``act`` holds W_x x + b on entry and the gate
-    activations [i f o g] on return. Returns (h, c)."""
+    activations [i f o g] on return. Returns (h, c).
+
+    One tanh covers all four blocks: sigmoid(z) = 0.5 + 0.5 tanh(z / 2),
+    and halving the i, f, o pre-activations is exact."""
     n = p.n_hidden
     act += h_prev @ p.w_h.T
-    act[..., :3 * n] = sigmoid(act[..., :3 * n])
-    act[..., 3 * n:] = np.tanh(act[..., 3 * n:])
+    gates = act[..., :3 * n]
+    gates *= 0.5
+    np.tanh(act, out=act)
+    gates *= 0.5
+    gates += 0.5
     c = act[..., n:2 * n] * c_prev + act[..., :n] * act[..., 3 * n:]
     return act[..., 2 * n:3 * n] * np.tanh(c), c
 
@@ -232,32 +243,87 @@ def _layer_forward(cell, a, h0, c0, mask):
     return a, hs, cs, acts, mask
 
 
-def _lstm_step_full(p: LstmCellParams, x, h_prev, c_prev):
-    """One LSTM step through the engine. Returns (h, c, step cache)."""
-    tape = _layer_forward(p, x[None], h_prev, c_prev, None)
-    _, hs, cs, _, _ = tape
-    return hs[1], cs[1], (tape, 0)
-
-
 def lstm_step(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
     """One LSTM step. Returns (h_t, c_t, GateActivations)."""
     x = as_f64(x)
     if x.shape != (p.n_input,):
         raise ValueError(f"lstm_step input shape {x.shape}, cell expects ({p.n_input},)")
-    h, c, (tape, _) = _lstm_step_full(p, x, as_f64(h_prev), as_f64(c_prev))
-    return h, c, GateActivations(*np.split(tape[3][0], 4))
+    _, hs, cs, acts, _ = _layer_forward(p, x[None], as_f64(h_prev), as_f64(c_prev), None)
+    return hs[1], cs[1], GateActivations(*np.split(acts[0], 4))
 
 
-def _accumulate(p, grad_acc, d_pre, x, h_prev):
-    """Add one step's parameter gradients, summed over its batch rows."""
-    if grad_acc is None:
-        grad_acc = p.new_zeros()
-    g_x, g_h, g_b = (getattr(grad_acc, name) for name in p.PARAMS)
+def rnn_step(p: RnnCellParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
+    """One vanilla RNN step. Returns h_t."""
+    x = as_f64(x)
+    if x.shape != (p.n_input,):
+        raise ValueError(f"rnn_step input shape {x.shape}, cell expects ({p.n_input},)")
+    return _layer_forward(p, x[None], as_f64(h_prev), None, None)[1][1]
+
+
+def _layer_backward(cell, tape, d_above, grad, dc=None):
+    """Reverse-mode pass through one layer's tape.
+
+    d_above: (T, ..., N) gradients flowing into the layer's hidden states
+        from above; dc: optional gradient flowing into its last cell state.
+    grad: container of the layer's parameter gradients, added to in place.
+
+    The gate derivatives of every step are formed from the tape before the
+    step loop, which keeps only the carried state gradients, one product
+    per gate block into that step's pre-activation gradient and the
+    recurrent product. The parameter gradients and the input gradient are
+    then one product each over all steps. Returns (d_in, dh0, dc0): the
+    gradients of the layer's input before dropout, of its initial hidden
+    state and of its initial cell state (None for a vanilla layer).
+    """
+    a, hs, cs, acts, mask = tape
+    w_x, w_h, _ = (getattr(cell, name) for name in cell.PARAMS)
+    d_pre = np.empty(acts.shape)
+    dh = np.zeros(hs.shape[1:])
+    if isinstance(cell, LstmCellParams):
+        n = cell.n_hidden
+        i, f, o, g = (acts[..., k * n:(k + 1) * n] for k in range(4))
+        tc = np.tanh(cs[1:])
+        # Per step, d_pre = coef * (dc, dc, dh, dc) block by block, where dc
+        # is the cell state's gradient: what the next step carries back
+        # plus dh * c_from_h through h = o * tanh(c).
+        coef = np.empty(acts.shape)
+        coef[..., :n] = g * i * (1.0 - i)
+        coef[..., n:2 * n] = cs[:-1] * f * (1.0 - f)
+        coef[..., 2 * n:3 * n] = tc * o * (1.0 - o)
+        coef[..., 3 * n:] = i * (1.0 - g * g)
+        c_from_h = o * (1.0 - tc * tc)
+        blocks = d_pre.reshape(acts.shape[:-1] + (4, n))
+        coef = coef.reshape(blocks.shape)
+        dc = np.zeros_like(dh) if dc is None else dc
+        for t in range(len(acts) - 1, -1, -1):
+            dh += d_above[t]
+            dc = dc + dh * c_from_h[t]
+            np.multiply(coef[t], dc[..., None, :], out=blocks[t])
+            np.multiply(coef[t, ..., 2, :], dh, out=blocks[t, ..., 2, :])
+            dc = dc * f[t]
+            dh = d_pre[t] @ w_h
+    else:
+        h = hs[1:]
+        slope = 1.0 - h * h if cell.nonlinearity == "tanh" else h * (1.0 - h)
+        for t in range(len(acts) - 1, -1, -1):
+            dh += d_above[t]
+            np.multiply(dh, slope[t], out=d_pre[t])
+            dh = d_pre[t] @ w_h
+    g_x, g_h, g_b = (getattr(grad, name) for name in cell.PARAMS)
     rows = d_pre.reshape(-1, d_pre.shape[-1])
-    g_x += rows.T @ x.reshape(len(rows), -1)
-    g_h += rows.T @ h_prev.reshape(len(rows), -1)
+    g_x += rows.T @ a.reshape(len(rows), -1)
+    g_h += rows.T @ hs[:-1].reshape(len(rows), -1)
     g_b += rows.sum(axis=0)
-    return grad_acc
+    d_in = (rows @ w_x).reshape(a.shape)
+    if mask is not None:
+        d_in *= mask
+    return d_in, dh, dc
+
+
+def _step_tape(cache):
+    """The one-step tape of step t of a (tape, t) cache."""
+    tape, t = cache
+    return tuple(None if arr is None else arr[t:t + k] for arr, k in zip(tape, (1, 2, 2, 1, 1)))
 
 
 def lstm_step_backward(p: LstmCellParams, cache, dh: np.ndarray, dc: np.ndarray, grad_acc: LstmCellParams | None = None):
@@ -269,53 +335,17 @@ def lstm_step_backward(p: LstmCellParams, cache, dh: np.ndarray, dc: np.ndarray,
     grad_acc); dx is with respect to the pre-dropout input when the forward
     step used a mask.
     """
-    (a, hs, cs, acts, mask), t = cache
-    x, h_prev, c_prev, act, c = a[t], hs[t], cs[t], acts[t], cs[t + 1]
-    n = p.n_hidden
-    i, f, o, g = (act[..., k * n:(k + 1) * n] for k in range(4))
-    tc = np.tanh(c)
-    dc_total = dc + dh * o * (1.0 - tc * tc)
-    d_pre = np.empty_like(act)
-    d_pre[..., :n] = (dc_total * g) * i * (1.0 - i)
-    d_pre[..., n:2 * n] = (dc_total * c_prev) * f * (1.0 - f)
-    d_pre[..., 2 * n:3 * n] = (dh * tc) * o * (1.0 - o)
-    d_pre[..., 3 * n:] = (dc_total * i) * (1.0 - g * g)
-    grad_acc = _accumulate(p, grad_acc, d_pre, x, h_prev)
-    dx = d_pre @ p.w_x
-    if mask is not None:
-        dx = dx * mask[t]
-    return dx, d_pre @ p.w_h, dc_total * f, grad_acc
-
-
-def _rnn_step_full(p: RnnCellParams, x, h_prev):
-    """One vanilla step through the engine. Returns (h, step cache)."""
-    tape = _layer_forward(p, x[None], h_prev, None, None)
-    _, hs, _, _, _ = tape
-    return hs[1], (tape, 0)
-
-
-def rnn_step(p: RnnCellParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
-    """One vanilla RNN step. Returns h_t."""
-    x = as_f64(x)
-    if x.shape != (p.n_input,):
-        raise ValueError(f"rnn_step input shape {x.shape}, cell expects ({p.n_input},)")
-    return _rnn_step_full(p, x, as_f64(h_prev))[0]
+    grad_acc = p.new_zeros() if grad_acc is None else grad_acc
+    d_in, dh_prev, dc_prev = _layer_backward(p, _step_tape(cache), as_f64(dh)[None], grad_acc, as_f64(dc))
+    return d_in[0], dh_prev, dc_prev, grad_acc
 
 
 def rnn_step_backward(p: RnnCellParams, cache, dh: np.ndarray, grad_acc: RnnCellParams | None = None):
     """Backward through one RNN step from its (tape, t) cache. Returns (dx,
     dh_prev, grad_acc)."""
-    (a, hs, _, _, mask), t = cache
-    x, h_prev, h = a[t], hs[t], hs[t + 1]
-    if p.nonlinearity == "tanh":
-        d_pre = dh * (1.0 - h * h)
-    else:
-        d_pre = dh * h * (1.0 - h)
-    grad_acc = _accumulate(p, grad_acc, d_pre, x, h_prev)
-    dx = d_pre @ p.W_xh
-    if mask is not None:
-        dx = dx * mask[t]
-    return dx, d_pre @ p.W_hh, grad_acc
+    grad_acc = p.new_zeros() if grad_acc is None else grad_acc
+    d_in, dh_prev, _ = _layer_backward(p, _step_tape(cache), as_f64(dh)[None], grad_acc)
+    return d_in[0], dh_prev, grad_acc
 
 
 class RecurrentState:
@@ -430,15 +460,7 @@ def _unroll_backward(cells, d_top, tapes, inject_dim=0, inject_layer=0, grad_acc
     d_above = as_f64(d_top)
     d_inject = None
     for layer in range(len(cells) - 1, -1, -1):
-        cell = cells[layer]
-        dh = np.zeros(d_above.shape[1:-1] + (cell.n_hidden,))
-        dc = np.zeros_like(dh)
-        d_in = np.empty(d_above.shape[:-1] + (cell.n_input,))
-        for t in range(len(d_above) - 1, -1, -1):
-            if isinstance(cell, LstmCellParams):
-                d_in[t], dh, dc, _ = lstm_step_backward(cell, (tapes[layer], t), d_above[t] + dh, dc, grads[layer])
-            else:
-                d_in[t], dh, _ = rnn_step_backward(cell, (tapes[layer], t), d_above[t] + dh, grads[layer])
+        d_in, _, _ = _layer_backward(cells[layer], tapes[layer], d_above, grads[layer])
         if inject_dim and layer == inject_layer:
             d_inject = d_in[..., -inject_dim:]
             d_in = d_in[..., :-inject_dim]

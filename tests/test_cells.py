@@ -13,6 +13,7 @@ from recseq.cells import (
     LstmCellParams,
     RecurrentState,
     RnnCellParams,
+    _layer_forward,
     lstm_step,
     lstm_step_backward,
     rnn_step,
@@ -150,9 +151,7 @@ def test_rnn_single_step_hand_chain_rule():
     z = w_x * x_val + w_h * h_prev_val + b
     assert abs(float(h[0]) - math.tanh(z)) < 1e-14
 
-    from recseq.cells import _rnn_step_full
-
-    h2, cache = _rnn_step_full(p, np.array([x_val]), np.array([h_prev_val]))
+    cache = (_layer_forward(p, np.array([[x_val]]), np.array([h_prev_val]), None, None), 0)
     dx, dh_prev, grads = rnn_step_backward(p, cache, np.array([1.0]))
     dtanh = 1.0 - math.tanh(z) ** 2
     assert abs(float(dx[0]) - dtanh * w_x) < 1e-12
@@ -168,8 +167,6 @@ def _lstm_loss_for_params(p, x, h_prev, c_prev, mode):
 
 
 def test_lstm_step_backward_finite_differences():
-    from recseq.cells import _lstm_step_full
-
     p = random_lstm(3, 2, 21)
     rng = np.random.default_rng(21)
     x = rng.uniform(-1, 1, 2)
@@ -177,7 +174,7 @@ def test_lstm_step_backward_finite_differences():
     c_prev = rng.uniform(-1, 1, 3)
 
     for mode in ("h", "c"):
-        h, c, cache = _lstm_step_full(p, x, h_prev, c_prev)
+        cache = (_layer_forward(p, x[None], h_prev, c_prev, None), 0)
         dh = np.ones(3) if mode == "h" else np.zeros(3)
         dc = np.zeros(3) if mode == "h" else np.ones(3)
         dx, dh_prev, dc_prev, grads = lstm_step_backward(p, cache, dh, dc)
@@ -213,25 +210,21 @@ def test_lstm_step_backward_finite_differences():
 
 
 def test_gradient_highway_under_saturated_forget():
-    from recseq.cells import _lstm_step_full
-
     p = LstmCellParams.zeros(3, 2)
     p.b_f[:] = 20.0  # f ~= 1: the cell state passes gradient straight through
-    _, _, cache = _lstm_step_full(p, np.zeros(2), np.zeros(3), np.array([0.5, -1.0, 2.0]))
+    cache = (_layer_forward(p, np.zeros((1, 2)), np.zeros(3), np.array([0.5, -1.0, 2.0]), None), 0)
     upstream = np.array([1.0, -2.0, 0.5])
     _, _, dc_prev, _ = lstm_step_backward(p, cache, np.zeros(3), upstream)
     assert np.max(np.abs(dc_prev - upstream)) < 1e-8
 
 
 def test_rnn_step_backward_finite_differences():
-    from recseq.cells import _rnn_step_full
-
     rng = np.random.default_rng(31)
     for nonlin in ("tanh", "sigmoid"):
         p = RnnCellParams.init(3, 2, rng, nonlin)
         x = rng.uniform(-1, 1, 2)
         h_prev = rng.uniform(-1, 1, 3)
-        _, cache = _rnn_step_full(p, x, h_prev)
+        cache = (_layer_forward(p, x[None], h_prev, None, None), 0)
         dx, dh_prev, grads = rnn_step_backward(p, cache, np.ones(3))
 
         def loss(which, v):
@@ -342,3 +335,84 @@ def test_stack_validates_layer_input_shape():
     p = random_lstm(3, 2, 81)
     with pytest.raises(ValueError):
         stack_forward([p], [np.zeros(5)])
+
+
+def _ragged_layer(kind, nonlin="tanh", seed=101):
+    """One layer over a right-padded batch of lengths (5, 2, 4) with a
+    dropout mask that is zero on padded steps, and gradients from above
+    only on real steps."""
+    from recseq.cells import _dropout_masks
+
+    rng = np.random.default_rng(seed)
+    if kind == "lstm":
+        cell = random_lstm(3, 4, seed)
+    else:
+        cell = RnnCellParams.init(3, 4, rng, nonlin)
+        cell.b_h[:] = rng.uniform(-0.5, 0.5, 3)
+    lengths = np.array([5, 2, 4])
+    real = (np.arange(5)[:, None] < lengths)[..., None]
+    xs = rng.uniform(-1, 1, (5, 3, 4)) * real
+    (mask,) = _dropout_masks([cell], 5, lengths, (0.3, rng))
+    h0 = rng.uniform(-1, 1, (3, 3))
+    c0 = rng.uniform(-1, 1, (3, 3)) if kind == "lstm" else None
+    tape = _layer_forward(cell, xs, h0, c0, mask)
+    d_above = rng.uniform(-1, 1, (5, 3, 3)) * real
+    return cell, tape, d_above
+
+
+@pytest.mark.parametrize("kind, nonlin", [("lstm", "tanh"), ("rnn", "tanh"), ("rnn", "sigmoid")])
+def test_layer_backward_equals_chained_one_step_backwards(kind, nonlin):
+    from recseq.cells import _layer_backward
+
+    cell, tape, d_above = _ragged_layer(kind, nonlin)
+    whole = cell.new_zeros()
+    d_in, dh0, dc0 = _layer_backward(cell, tape, d_above, whole)
+
+    chained = cell.new_zeros()
+    dh, dc = np.zeros_like(d_above[0]), np.zeros_like(d_above[0])
+    d_steps = np.empty_like(d_in)
+    for t in range(len(d_above) - 1, -1, -1):
+        if kind == "lstm":
+            d_steps[t], dh, dc, _ = lstm_step_backward(cell, (tape, t), d_above[t] + dh, dc, chained)
+        else:
+            d_steps[t], dh, _ = rnn_step_backward(cell, (tape, t), d_above[t] + dh, chained)
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    close(d_in, d_steps)
+    close(dh0, dh)
+    if kind == "lstm":
+        close(dc0, dc)
+    else:
+        assert dc0 is None
+    for (name, got), (_, want) in zip(whole.blocks(), chained.blocks()):
+        assert np.any(want != 0.0), name
+        close(got, want)
+    # Padded steps pass no gradient to the input.
+    assert np.all(d_in[2:, 1] == 0.0) and np.all(d_in[4:, 2] == 0.0)
+
+
+def test_lstm_gates_are_sigmoid_and_tanh_of_the_pre_activations():
+    from recseq.cells import _lstm_cell
+    from recseq.tensor_ops import sigmoid
+
+    n = 5
+    rng = np.random.default_rng(7)
+    grid = np.concatenate([
+        np.linspace(-800.0, 800.0, 4001), rng.uniform(-40.0, 40.0, 4000), rng.standard_normal(3000),
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, 36.7, -36.7, 709.0, -745.0],
+        [np.inf, -np.inf, np.nan],
+    ])
+    pre = np.resize(grid, (len(grid) // (4 * n) + 1) * 4 * n).reshape(-1, 4 * n)
+    p = LstmCellParams.zeros(n, 2)
+    act = pre.copy()
+    zeros = np.zeros((len(pre), n))
+    _lstm_cell(p, act, zeros, zeros)
+    want = np.concatenate([sigmoid(pre[:, :3 * n]), np.tanh(pre[:, 3 * n:])], axis=1)
+    assert np.array_equal(np.isnan(act), np.isnan(pre))
+    finite = ~np.isnan(pre)
+    assert np.max(np.abs(act[finite] - want[finite])) <= 2.3e-16
+    gates = act[:, :3 * n]
+    assert np.all((gates >= 0.0) & (gates <= 1.0) | np.isnan(gates))
+    assert np.array_equal(act[:, 3 * n:], np.tanh(pre[:, 3 * n:]), equal_nan=True)

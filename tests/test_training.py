@@ -320,15 +320,14 @@ class TestGradientCheck:
         assert report.passed
 
     def test_detects_a_planted_backward_fault(self, monkeypatch):
-        true_backward = recseq.cells.lstm_step_backward
+        true_backward = recseq.cells._layer_backward
 
-        def faulty(p, cache, dh, dc, grad_acc=None):
-            out = true_backward(p, cache, dh, dc, grad_acc)
-            if grad_acc is not None:
-                grad_acc.b[0] += 0.05
+        def faulty(cell, tape, d_above, grad, dc=None):
+            out = true_backward(cell, tape, d_above, grad, dc)
+            grad.b[0] += 0.05
             return out
 
-        monkeypatch.setattr(recseq.cells, "lstm_step_backward", faulty)
+        monkeypatch.setattr(recseq.cells, "_layer_backward", faulty)
         m = build_demo_model("encode_decode", seed=0)
         batch = build_demo_batch("encode_decode", m, seed=0)
         report = gradient_check(m, batch)
