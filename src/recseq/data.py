@@ -47,7 +47,6 @@ __all__ = [
     "load_pairs",
     "save_windows",
     "load_windows",
-    "load_dataset",
     "save_task_dir",
     "load_task_dir",
     "parse_kv",
@@ -458,26 +457,6 @@ def load_windows(path):
             raise DataFormatError(f"bad window [{start}, {start + length})", path=path, line=lineno)
         out.append((name, start, length, label))
     return out
-
-
-_LOADERS = {
-    "tokens": load_tokens,
-    "features": load_features,
-    "pairs": load_pairs,
-    "windows": load_windows,
-}
-
-
-def load_dataset(path, kind):
-    """Load one data file by format name.
-
-    kind is one of "tokens", "features", "pairs", "windows".
-    """
-    try:
-        loader = _LOADERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown dataset kind {kind!r}") from None
-    return loader(path)
 
 
 def parse_kv(text, path=None):

@@ -21,7 +21,6 @@ from recseq.data import (
     gen_lag_recall,
     gen_order_task,
     gen_toy_captioning,
-    load_dataset,
     load_features,
     load_kv,
     load_pairs,
@@ -356,17 +355,6 @@ class TestWindowsFormat:
         path.write_text("frames.txt\t0\t0\t1\n")
         with pytest.raises(DataFormatError):
             load_windows(path)
-
-
-class TestLoadDataset:
-    def test_dispatch(self, tmp_path):
-        path = tmp_path / "corpus.txt"
-        save_tokens(path, [["a", "b"]])
-        assert load_dataset(path, "tokens") == [["a", "b"]]
-
-    def test_unknown_kind(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_dataset(tmp_path / "x", "parquet")
 
 
 class TestKvFormat:
