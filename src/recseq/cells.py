@@ -321,7 +321,8 @@ def _layer_backward(cell, tape, d_above, grad, dc=None):
 
 
 def _step_tape(cache):
-    """The one-step tape of step t of a (tape, t) cache."""
+    """The one-step tape of step t of a (tape, t) cache: the input,
+    activations and mask rows of step t, and the states before and after."""
     tape, t = cache
     return tuple(None if arr is None else arr[t:t + k] for arr, k in zip(tape, (1, 2, 2, 1, 1)))
 

@@ -49,8 +49,8 @@ ref = load_reference()
 
 def demo(topology, cell, nonlinearity, seed, n_sequences=6):
     m = build_demo_model(topology, seed=seed, cell=cell)
-    for c in m.cells:
-        if cell == "rnn":
+    if cell == "rnn":
+        for c in m.cells:
             c.nonlinearity = nonlinearity
     return m, build_demo_batch(topology, m, seed=seed, n_sequences=n_sequences)
 
