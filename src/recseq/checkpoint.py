@@ -11,10 +11,9 @@ Layout (all integers little endian):
                ndim dims as u64, then the float64 payload in C order
 
 The header describes how to rebuild the model (topology, vocabulary,
-extractor configuration) plus a step counter and, optionally, the training
-generator state, so a run can resume exactly. Nothing time or host
-dependent is written: saving the same model twice produces identical
-bytes.
+extractor configuration) plus a step counter; its key set is exactly
+``_FIELD_TYPES``. Nothing time or host dependent is written: saving the
+same model twice produces identical bytes.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .models import ModelSpec, Vocabulary, build_model
 __all__ = ["MAGIC", "VERSION", "CheckpointBundle", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"RSEQCKPT"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass
@@ -42,7 +41,6 @@ class CheckpointBundle:
 
     model: ModelSpec
     step: int
-    rng: np.random.Generator | None
 
 
 def _describe_extractor(ext):
@@ -59,14 +57,7 @@ def _describe_extractor(ext):
     return d
 
 
-def _rng_state(rng):
-    if rng is None:
-        return None
-    # A plain dict of ints and strings; JSON keeps the wide integers exact.
-    return rng.bit_generator.state
-
-
-def _describe_model(m: ModelSpec, step: int, rng) -> dict:
+def _describe_model(m: ModelSpec, step: int) -> dict:
     return {
         "task": m.task,
         "cell": m.cell_kind,
@@ -83,36 +74,37 @@ def _describe_model(m: ModelSpec, step: int, rng) -> dict:
         "embed_dim": None if m.embedding is None else m.embedding.dim,
         "extractor": _describe_extractor(m.extractor),
         "step": int(step),
-        "rng_state": _rng_state(rng),
     }
 
 
-# The JSON types each header field may hold; only step and rng_state may be absent.
+# The JSON types each header field may hold; a header has exactly these fields.
 _FIELD_TYPES = {
     "task": (str,), "cell": (str,), "rnn_nonlinearity": (str, type(None)), "hidden": (int,),
     "layer_input_dims": (list,), "factored": (bool,), "inject_layer": (int, type(None)),
     "input_dim": (int, type(None)), "visual_mode": (str, type(None)), "visual_blocks": (list, type(None)),
     "n_out": (int,), "vocab": (dict, type(None)), "embed_dim": (int, type(None)),
-    "extractor": (dict, type(None)), "step": (int,), "rng_state": (dict, type(None)),
+    "extractor": (dict, type(None)), "step": (int,),
 }
 
 
 def _check_fields(header):
-    """Every header field is present (or may be absent) and holds its JSON type."""
+    """The header has exactly the known fields, each holding its JSON type."""
     if type(header) is not dict:
         raise ValueError("the header is not a JSON object")
+    unknown = sorted(header.keys() - _FIELD_TYPES.keys())
+    if unknown:
+        raise ValueError(f"header field {unknown[0]!r} is unknown")
     for name, types in _FIELD_TYPES.items():
         if name not in header:
-            if name not in ("step", "rng_state"):
-                raise ValueError(f"header field {name!r} is missing")
-        elif type(header[name]) not in types:
+            raise ValueError(f"header field {name!r} is missing")
+        if type(header[name]) not in types:
             raise ValueError(f"header field {name!r} has the wrong type ({type(header[name]).__name__})")
 
 
 def _parse(header, name, parse):
     """``parse(header[name])``, with a failure reported under the field's name."""
     try:
-        return None if header.get(name) is None else parse(header[name])
+        return None if header[name] is None else parse(header[name])
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"header field {name!r} is malformed ({type(exc).__name__}: {exc})") from None
 
@@ -134,31 +126,19 @@ def _rebuild_model(header: dict) -> ModelSpec:
         vocab=_parse(header, "vocab", Vocabulary.from_dict),
         **{k: header[k] for k in ("embed_dim", "input_dim", "factored", "visual_mode", "visual_blocks")},
     )
-    described = _describe_model(m, 0, None)
-    wrong = sorted(k for k in described if k not in ("step", "rng_state") and described[k] != header[k])
+    described = _describe_model(m, header["step"])  # step describes no part of the model
+    wrong = sorted(k for k in described if described[k] != header[k])
     if wrong:
         raise ValueError(f"header fields {wrong} do not describe the model they build")
     return m
 
 
-def _restore_rng(state):
-    """The training generator a header's rng_state describes."""
-    rng = np.random.default_rng()
-    rng.bit_generator.state = {
-        "bit_generator": state["bit_generator"],
-        "state": {k: int(v) for k, v in state["state"].items()},
-        "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
-    }
-    return rng
-
-
-def save_checkpoint(path, m: ModelSpec, step: int = 0, rng: np.random.Generator | None = None):
-    """Write the model (and optional training state) to ``path`` atomically."""
+def save_checkpoint(path, m: ModelSpec, step: int = 0):
+    """Write the model and its step counter to ``path`` atomically."""
     if not np.isfinite(m.params).all():
         bad = next(name for name, arr in m.blocks() if not np.isfinite(arr).all())
         raise NumericError(f"refusing to save non-finite parameters (block {bad!r})")
-    header = json.dumps(_describe_model(m, step, rng), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header = json.dumps(_describe_model(m, step), sort_keys=True, separators=(",", ":")).encode("utf-8")
     blocks = m.blocks()
     parts = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", len(header)), header]
     parts.append(struct.pack("<Q", len(blocks)))
@@ -208,7 +188,6 @@ def load_checkpoint(path) -> CheckpointBundle:
         raise DataFormatError(f"bad checkpoint header: {exc}", path=path) from None
     try:
         m = _rebuild_model(header)
-        step, rng = header.get("step", 0), _parse(header, "rng_state", _restore_rng)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad model description: {exc}", path=path) from None
 
@@ -234,4 +213,4 @@ def load_checkpoint(path) -> CheckpointBundle:
         raise DataFormatError(f"missing parameter blocks: {missing}", path=path)
     if r.pos != len(data):
         raise DataFormatError("trailing bytes after checkpoint payload", path=path)
-    return CheckpointBundle(m, step, rng)
+    return CheckpointBundle(m, header["step"])

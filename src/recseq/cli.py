@@ -214,7 +214,7 @@ def _cmd_eval(args) -> int:
     if metric in ("exact", "bleu"):
         if task == "classify":
             raise UsageError(f"{metric} applies to token tasks")
-        max_len = args.max_len or _default_max_len(examples)
+        max_len = _default_max_len(examples) if args.max_len is None else args.max_len
         if metric == "exact":
             rate = exact_match_rate(m, examples, max_len)
             print(f"exact_match {rate:.6f}")
@@ -248,7 +248,7 @@ def _cmd_generate(args) -> int:
     m, task, examples = _load_model_and_data(args)
     if task == "classify":
         raise UsageError("generate applies to token tasks")
-    max_len = args.max_len or _default_max_len(examples)
+    max_len = _default_max_len(examples) if args.max_len is None else args.max_len
     for idx, ex in enumerate(examples):
         features = example_tuple(ex)[0]
         if args.strategy == "greedy":

@@ -145,6 +145,8 @@ def retrieval_metrics(matrix: ScoreMatrix, ks=(1, 5, 10)) -> RetrievalReport:
     """
     scores = matrix.scores
     n_queries, n_candidates = scores.shape
+    if n_queries == 0:
+        raise ValueError("no queries to rank")
     ranks = []
     for q in range(n_queries):
         order = sorted(range(n_candidates), key=lambda j: (-scores[q, j], j))

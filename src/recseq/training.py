@@ -16,9 +16,8 @@ exactly repeatable.
 
 from __future__ import annotations
 
-import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,8 +88,6 @@ class LossReport:
     n_sequences: int = 0
     n_targets: int = 0
     total_nll: float = 0.0
-    step_totals: list = field(default_factory=list)
-    step_counts: list = field(default_factory=list)
 
     @property
     def mean_sequence_nll(self) -> float:
@@ -100,35 +97,15 @@ class LossReport:
     def mean_target_nll(self) -> float:
         return self.total_nll / max(1, self.n_targets)
 
-    def per_step_means(self):
-        return [t / max(1, c) for t, c in zip(self.step_totals, self.step_counts)]
-
-    def add_sequence(self, nll: float, per_step):
-        self.merge(LossReport(1, len(per_step), nll, list(per_step), [1] * len(per_step)))
-
     @classmethod
     def of_batch(cls, nll: float, per_step) -> "LossReport":
-        """A batch's report from its total NLL and each sequence's per-step NLLs.
-
-        Step totals add the sequences' terms in batch order from 0.0, as
-        merging one report per sequence would.
-        """
-        lengths = [len(steps) for steps in per_step]
-        totals = [sum(column) for column in itertools.zip_longest(*per_step, fillvalue=0.0)]
-        counts = [sum(n > idx for n in lengths) for idx in range(len(totals))]
-        return cls(len(per_step), sum(lengths), nll, totals, counts)
+        """A batch's report from its total NLL and each sequence's per-step NLLs."""
+        return cls(len(per_step), sum(len(steps) for steps in per_step), nll)
 
     def merge(self, other: "LossReport"):
         self.n_sequences += other.n_sequences
         self.n_targets += other.n_targets
         self.total_nll += other.total_nll
-        if len(self.step_totals) < len(other.step_totals):
-            pad = len(other.step_totals) - len(self.step_totals)
-            self.step_totals.extend([0.0] * pad)
-            self.step_counts.extend([0] * pad)
-        for idx in range(len(other.step_totals)):
-            self.step_totals[idx] += other.step_totals[idx]
-            self.step_counts[idx] += other.step_counts[idx]
 
 
 def sequence_nll(m: ModelSpec, batch: SequenceBatch) -> LossReport:

@@ -337,7 +337,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path, capsys):
 
         bundle = load_checkpoint(ckpt_a)
         resaved = tmp_path / "resaved.ckpt"
-        save_checkpoint(resaved, bundle.model, step=bundle.step, rng=bundle.rng)
+        save_checkpoint(resaved, bundle.model, step=bundle.step)
         assert resaved.read_bytes() == ckpt_a.read_bytes()
 
         rng = np.random.default_rng(0)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recseq.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from recseq.checkpoint import _FIELD_TYPES, MAGIC, VERSION, load_checkpoint, save_checkpoint
 from recseq.errors import DataFormatError, NumericError
 from recseq.features import make_extractor
 from recseq.models import Vocabulary, build_model
@@ -22,6 +22,23 @@ def assert_models_identical(a, b):
     assert [n for n, _ in blocks_a] == [n for n, _ in blocks_b]
     for (name, arr_a), (_, arr_b) in zip(blocks_a, blocks_b):
         np.testing.assert_array_equal(arr_a, arr_b, err_msg=name)
+
+
+HEADER_AT = len(MAGIC) + 4  # the header length, then the header
+
+
+def read_header(raw):
+    """(decoded header, offset of the first byte after it) of a checkpoint."""
+    (length,) = struct.unpack_from("<Q", raw, HEADER_AT)
+    return json.loads(raw[HEADER_AT + 8:HEADER_AT + 8 + length]), HEADER_AT + 8 + length
+
+
+def with_header(raw, change):
+    """A checkpoint's bytes with ``change`` applied to its decoded header."""
+    header, end = read_header(raw)
+    change(header)
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return raw[:HEADER_AT] + struct.pack("<Q", len(encoded)) + encoded + raw[end:]
 
 
 TOPOLOGIES = ["classify", "caption_1u", "caption_2u", "caption_2f", "encode_decode", "perstep_decode"]
@@ -55,30 +72,11 @@ class TestRoundTrip:
         assert loaded.inject_layer == m.inject_layer
         assert loaded.extractor.input_shape == m.extractor.input_shape
 
-    def test_rng_state_round_trips(self, tmp_path):
-        m = build_demo_model("encode_decode", seed=0)
-        rng = np.random.default_rng(123)
-        rng.random(7)  # advance to a mid-stream state
-        expected_next = np.random.Generator(type(rng.bit_generator)(0))
-        expected_next.bit_generator.state = rng.bit_generator.state
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, m, step=2, rng=rng)
-        bundle = load_checkpoint(path)
-        assert bundle.rng is not None
-        np.testing.assert_array_equal(bundle.rng.random(5), expected_next.random(5))
-
-    def test_missing_rng_loads_as_none(self, tmp_path):
-        m = build_demo_model("encode_decode", seed=0)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, m)
-        assert load_checkpoint(path).rng is None
-
     def test_double_save_is_byte_identical(self, tmp_path):
         m = build_demo_model("caption_1u", seed=9)
-        rng = np.random.default_rng(4)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(a, m, step=5, rng=rng)
-        save_checkpoint(b, m, step=5, rng=rng)
+        save_checkpoint(a, m, step=5)
+        save_checkpoint(b, m, step=5)
         assert a.read_bytes() == b.read_bytes()
 
     def test_loaded_model_saves_to_identical_bytes(self, tmp_path):
@@ -121,6 +119,22 @@ class TestCorruption:
         path.write_bytes(bytes(data))
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
+
+    def test_version_1_file_is_refused(self, tmp_path):
+        # The version 1 writer saved the same payload under version word 1
+        # with "rng_state":null in the header.
+        path = self.saved(tmp_path)
+        data = bytearray(with_header(path.read_bytes(), lambda header: header.update(rng_state=None)))
+        struct.pack_into("<I", data, len(MAGIC), 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    def test_header_holds_exactly_the_known_fields(self, tmp_path):
+        raw = self.saved(tmp_path).read_bytes()
+        assert VERSION == 2
+        assert struct.unpack_from("<I", raw, len(MAGIC)) == (VERSION,)
+        assert sorted(read_header(raw)[0]) == sorted(_FIELD_TYPES)
 
     def test_truncated_payload(self, tmp_path):
         path = self.saved(tmp_path)
@@ -194,14 +208,9 @@ class TestHeaderFuzz:
     def test_one_replaced_field_loads_or_is_a_data_error(self, topology, data, value):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.ckpt"
-            save_checkpoint(path, build_demo_model(topology, seed=0), step=4, rng=np.random.default_rng(1))
-            raw = path.read_bytes()
-            offset = len(MAGIC) + 4
-            (length,) = struct.unpack_from("<Q", raw, offset)
-            header = json.loads(raw[offset + 8:offset + 8 + length])
-            header[data.draw(st.sampled_from(sorted(header)), label="field")] = value
-            encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-            path.write_bytes(raw[:offset] + struct.pack("<Q", len(encoded)) + encoded + raw[offset + 8 + length:])
+            save_checkpoint(path, build_demo_model(topology, seed=0), step=4)
+            field = data.draw(st.sampled_from(sorted(_FIELD_TYPES)), label="field")
+            path.write_bytes(with_header(path.read_bytes(), lambda header: header.update({field: value})))
             try:
                 load_checkpoint(path)
             except DataFormatError:
@@ -254,7 +263,6 @@ class TestPayloadFuzz:
 
 # (header field, replacement value; None deletes the field)
 HEADER_FAULTS = [
-    ("rng_state", {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}),
     ("extractor", "x"),
     ("extractor", {"input_shape": [4]}),
     ("vocab", [1, 2]),
@@ -262,6 +270,8 @@ HEADER_FAULTS = [
     ("hidden", "big"),
     ("task", None),
     ("step", "abc"),
+    ("step", None),
+    ("resume_from", 0),
 ]
 
 
@@ -269,17 +279,9 @@ class TestHeaderErrorsNameTheField:
     @pytest.mark.parametrize("field,value", HEADER_FAULTS, ids=[f"{f}-{v!r}" for f, v in HEADER_FAULTS])
     def test_message_names_the_field(self, tmp_path, field, value):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, build_demo_model("caption_1u", seed=0), step=2, rng=np.random.default_rng(1))
-        raw = path.read_bytes()
-        offset = len(MAGIC) + 4
-        (length,) = struct.unpack_from("<Q", raw, offset)
-        header = json.loads(raw[offset + 8:offset + 8 + length])
-        if value is None:
-            del header[field]
-        else:
-            header[field] = value
-        encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(raw[:offset] + struct.pack("<Q", len(encoded)) + encoded + raw[offset + 8 + length:])
+        save_checkpoint(path, build_demo_model("caption_1u", seed=0), step=2)
+        path.write_bytes(with_header(
+            path.read_bytes(), lambda header: header.pop(field) if value is None else header.update({field: value})))
         with pytest.raises(DataFormatError, match=f"header field '{field}'"):
             load_checkpoint(path)
 

@@ -114,15 +114,26 @@ def _eval_edited_checkpoint(tmp_path, capsys, edit):
     return ["eval", "--model", str(ckpt), "--data", argv[2], "--metric", "accuracy"]
 
 
-def _header_field(name, value):
+def _edit_header(change):
     def edit(data):
         offset = len(MAGIC) + 4
         (length,) = struct.unpack_from("<Q", data, offset)
         header = json.loads(data[offset + 8:offset + 8 + length])
-        header[name] = value
+        change(header)
         encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         return bytes(data[:offset]) + struct.pack("<Q", len(encoded)) + encoded + bytes(data[offset + 8 + length:])
     return edit
+
+
+def _header_field(name, value):
+    return _edit_header(lambda header: header.update({name: value}))
+
+
+def _version_1(data):
+    """The checkpoint as the version 1 writer saved it: version word 1, "rng_state":null in the header."""
+    data = bytearray(_edit_header(lambda header: header.update(rng_state=None))(data))
+    struct.pack_into("<I", data, len(MAGIC), 1)
+    return bytes(data)
 
 
 def _huge_first_dimension(data):
@@ -157,12 +168,16 @@ def _copy_targets_not_utf8(tmp_path, capsys):
     return ["train", "--data", str(d), "--out", str(tmp_path / "m.ckpt"), "--hidden", "3", "--epochs", "1"]
 
 
-def _sample_copy(tmp_path, capsys, *flags):
+def _on_trained_copy(tmp_path, capsys, command, *flags):
     d = _small_copy_dir(tmp_path, capsys)
     ckpt = tmp_path / "m.ckpt"
     code, _, err = run(capsys, "train", "--data", str(d), "--out", str(ckpt), "--hidden", "3", "--epochs", "1")
     assert code == 0, err
-    return ["generate", "--model", str(ckpt), "--data", str(d), "--strategy", "sample", *flags]
+    return [command, "--model", str(ckpt), "--data", str(d), *flags]
+
+
+def _sample_copy(tmp_path, capsys, *flags):
+    return _on_trained_copy(tmp_path, capsys, "generate", "--strategy", "sample", *flags)
 
 
 def _smallconv_on_tiny_frames(tmp_path, capsys):
@@ -194,9 +209,6 @@ def _edit_line(path, lineno, edit):
     lines = path.read_text(encoding="utf-8").split("\n")
     lines[lineno] = edit(lines[lineno])
     path.write_text("\n".join(lines), encoding="utf-8")
-
-
-_PCG64_STATE = {"state": 1, "inc": 1}
 
 
 # (case, function returning the argv, documented exit code)
@@ -249,13 +261,24 @@ BAD_INVOCATIONS = [
     ("sample_temperature_nan", lambda t, c: _sample_copy(t, c, "--temperature", "nan"), 1),
     ("checkpoint_step_list", lambda t, c: _eval_edited_checkpoint(t, c, _header_field("step", [1])), 2),
     ("checkpoint_step_not_a_number", lambda t, c: _eval_edited_checkpoint(t, c, _header_field("step", "abc")), 2),
-    ("checkpoint_rng_state_string", lambda t, c: _eval_edited_checkpoint(t, c, _header_field("rng_state", "x")), 2),
-    ("checkpoint_rng_state_without_state", lambda t, c: _eval_edited_checkpoint(t, c, _header_field(
-        "rng_state", {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0})), 2),
-    ("checkpoint_rng_unknown_bit_generator", lambda t, c: _eval_edited_checkpoint(t, c, _header_field(
-        "rng_state", {"bit_generator": "NOPE", "state": _PCG64_STATE, "has_uint32": 0, "uinteger": 0})), 2),
+    ("checkpoint_without_step", lambda t, c: _eval_edited_checkpoint(t, c, _edit_header(lambda h: h.pop("step"))), 2),
+    ("checkpoint_unknown_header_field", lambda t, c: _eval_edited_checkpoint(
+        t, c, _header_field("resume_from", 0)), 2),
+    ("checkpoint_version_1", lambda t, c: _eval_edited_checkpoint(t, c, _version_1), 2),
     ("checkpoint_extractor_string", lambda t, c: _eval_edited_checkpoint(t, c, _header_field("extractor", "x")), 2),
     ("checkpoint_payload_nan", lambda t, c: _eval_edited_checkpoint(t, c, _nan_last_payload_float), 2),
+    ("generate_max_len_zero", lambda t, c: _on_trained_copy(t, c, "generate", "--max-len", "0"), 1),
+    ("eval_exact_max_len_zero", lambda t, c: _on_trained_copy(t, c, "eval", "--metric", "exact", "--max-len", "0"), 1),
+]
+
+
+# (BAD_INVOCATIONS case, text its error message must hold)
+CAUSES = [
+    ("checkpoint_version_1", "unsupported checkpoint version 1"),
+    ("checkpoint_unknown_header_field", "header field 'resume_from' is unknown"),
+    ("checkpoint_without_step", "header field 'step' is missing"),
+    ("generate_max_len_zero", "max_len must be at least 1"),
+    ("eval_exact_max_len_zero", "max_len must be at least 1"),
 ]
 
 
@@ -268,6 +291,14 @@ class TestFailureContract:
         assert code == expected, err
         assert "Traceback" not in out + err
         assert "error: " in err
+
+    @pytest.mark.parametrize("case,message", CAUSES, ids=[case for case, _ in CAUSES])
+    def test_message_names_the_cause(self, capsys, tmp_path, case, message):
+        build, expected = next(row[1:] for row in BAD_INVOCATIONS if row[0] == case)
+        code, out, err = run(capsys, *build(tmp_path, capsys))
+        assert code == expected
+        assert message in err
+        assert out == ""
 
     def test_gradcheck_with_a_non_finite_probe_exits_3(self, capsys, monkeypatch):
         true_loss = recseq.training.sequence_loss_and_grads

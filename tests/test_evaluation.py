@@ -208,6 +208,10 @@ class TestRetrieval:
         assert base.recall_at == moved.recall_at
         assert base.median_rank == moved.median_rank
 
+    def test_no_queries_is_refused(self):
+        with pytest.raises(ValueError, match="no queries to rank"):
+            retrieval_metrics(ScoreMatrix(np.zeros((0, 3)), ()))
+
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
             ScoreMatrix(np.zeros(3), [{0}])

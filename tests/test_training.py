@@ -52,40 +52,23 @@ def max_param_diff(m, snap):
 
 
 class TestLossReport:
-    def test_add_sequence_accumulates(self):
-        r = LossReport()
-        r.add_sequence(1.5, [0.5, 1.0])
-        r.add_sequence(3.0, [1.0, 1.0, 1.0])
-        assert r.n_sequences == 2
-        assert r.n_targets == 5
-        assert r.total_nll == 4.5
-        assert r.mean_sequence_nll == 2.25
+    def test_of_batch_counts_sequences_and_targets(self):
+        # The last sequence has no targets; it still counts as a sequence.
+        r = LossReport.of_batch(4.5, [[0.5, 1.0], [1.0, 1.0, 1.0], []])
+        assert (r.n_sequences, r.n_targets, r.total_nll) == (3, 5, 4.5)
+        assert r.mean_sequence_nll == 1.5
         assert r.mean_target_nll == 0.9
-        assert r.per_step_means() == [0.75, 1.0, 1.0]
 
-    def test_merge_matches_direct_accumulation(self):
-        a, b, both = LossReport(), LossReport(), LossReport()
-        a.add_sequence(1.0, [1.0])
-        b.add_sequence(2.0, [0.5, 1.5])
-        both.add_sequence(1.0, [1.0])
-        both.add_sequence(2.0, [0.5, 1.5])
-        a.merge(b)
-        assert a.n_sequences == both.n_sequences
-        assert a.total_nll == both.total_nll
-        assert a.step_totals == both.step_totals
-        assert a.step_counts == both.step_counts
+    def test_means_of_reports_without_targets_are_zero(self):
+        r = LossReport.of_batch(0.0, [[]])
+        assert (r.n_sequences, r.n_targets) == (1, 0)
+        assert r.mean_target_nll == 0.0
+        assert LossReport().mean_sequence_nll == 0.0
 
-    def test_of_batch_equals_one_merged_report_per_sequence(self):
-        rng = np.random.default_rng(3)
-        per_step = [rng.exponential(1.0, n).tolist() for n in (3, 1, 5, 0, 2)]
-        per_step[1][0] = -0.0
-        nll = sum(sum(steps) for steps in per_step)
-        want = LossReport(total_nll=nll)
-        for steps in per_step:
-            want.merge(LossReport(1, len(steps), 0.0, list(steps), [1] * len(steps)))
-        got = LossReport.of_batch(nll, per_step)
-        assert got == want
-        assert [math.copysign(1.0, t) for t in got.step_totals] == [1.0] * 5
+    def test_merge_adds_counts_and_totals(self):
+        a = LossReport.of_batch(1.0, [[1.0]])
+        a.merge(LossReport.of_batch(2.0, [[0.5, 1.5], []]))
+        assert a == LossReport(3, 3, 3.0)
 
 
 class TestBatchObjective:
